@@ -34,10 +34,9 @@ def main(argv=None) -> int:
         c=args.c, eps_u=args.eps_u, eps_v=args.eps_v,
         alpha=args.alpha, k=args.k, T=args.T,
     )
-    tracker = energy.EnergyTracker(
-        assembly.assemble_mass(m), assembly.assemble_stiffness(m), params
-    )
-    scheme.run(m, params, scheme.initial_preset(args.initial, 2),
+    mass, stiffness = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
+    tracker = energy.EnergyTracker(mass, stiffness, params)
+    scheme.run(m, mass, stiffness, params, scheme.initial_preset(args.initial, 2),
                config=SolverConfig(rel_tol=1e-13), observer=tracker)
 
     # records[0] is the starting level; breakdowns exist from records[1] on

@@ -24,65 +24,60 @@ class EmptySystemError(AssemblyError):
 
 
 def element_mass(coords: np.ndarray) -> np.ndarray:
-    """Element mass matrix for one cell.
+    """Element mass matrices for one cell or a stack of cells.
 
     Parameters
     ----------
-    coords : ndarray, shape (dim + 1, dim)
+    coords : ndarray, shape (..., dim + 1, dim)
         Cell vertex coordinates.
 
     Returns
     -------
-    ndarray
+    ndarray, shape (..., dim + 1, dim + 1)
         (L/6)*[[2,1],[1,2]] on a segment of length L, (A/12)*(ones + eye)
         on a triangle of area A.
     """
-    measure = _cell_measure(coords)
-    n = coords.shape[0]
-    if n == 2:
+    measure = _cell_measure(coords)[..., None, None]
+    if coords.shape[-2] == 2:
         return (measure / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
     return (measure / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
 
 def element_stiffness(coords: np.ndarray) -> np.ndarray:
-    """Element stiffness matrix (gradients of P1 bases are cellwise constant)."""
-    measure = _cell_measure(coords)
-    if coords.shape[0] == 2:
+    """Element stiffness matrices (gradients of P1 bases are cellwise constant)."""
+    measure = _cell_measure(coords)[..., None, None]
+    if coords.shape[-2] == 2:
         return np.array([[1.0, -1.0], [-1.0, 1.0]]) / measure
     # gradient of basis i is perp(opposite edge) / (2A)
-    a, b, c = coords
-    edges = np.array([c - b, a - c, b - a])
-    grads = np.column_stack([-edges[:, 1], edges[:, 0]]) / (2.0 * measure)
-    return measure * (grads @ grads.T)
+    a, b, c = coords[..., 0, :], coords[..., 1, :], coords[..., 2, :]
+    edges = np.stack([c - b, a - c, b - a], axis=-2)
+    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * measure)
+    return measure * (grads @ np.swapaxes(grads, -1, -2))
 
 
-def _cell_measure(coords: np.ndarray) -> float:
-    if coords.shape[0] == 2:
-        measure = coords[1, 0] - coords[0, 0]
+def _cell_measure(coords: np.ndarray) -> np.ndarray:
+    if coords.shape[-2] == 2:
+        measure = coords[..., 1, 0] - coords[..., 0, 0]
     else:
-        d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
-        measure = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if measure <= 0.0:
-        raise AssemblyError(f"cell is degenerate or negatively oriented (measure {measure:g})")
+        d1 = coords[..., 1, :] - coords[..., 0, :]
+        d2 = coords[..., 2, :] - coords[..., 0, :]
+        measure = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    bad = np.flatnonzero(measure <= 0.0)
+    if bad.size:
+        first = np.ravel(measure)[bad[0]]
+        raise AssemblyError(f"cell is degenerate or negatively oriented (measure {first:g})")
     return measure
 
 
 def _assemble(mesh: Mesh, element_fn, row_map, col_map, shape) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for cell in mesh.cells:
-        local = element_fn(mesh.vertices[cell])
-        for i, vi in enumerate(cell):
-            ri = row_map[vi]
-            if ri < 0:
-                continue
-            for j, vj in enumerate(cell):
-                cj = col_map[vj]
-                if cj < 0:
-                    continue
-                rows.append(ri)
-                cols.append(cj)
-                vals.append(local[i, j])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=shape)
+    # entries in cell-major (cell, i, j) order; rows or columns mapped to a
+    # negative index (constrained vertices) are dropped
+    local = element_fn(mesh.vertices[mesh.cells])
+    rows, cols = np.broadcast_arrays(
+        row_map[mesh.cells][:, :, None], col_map[mesh.cells][:, None, :]
+    )
+    keep = (rows >= 0) & (cols >= 0)
+    mat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])), shape=shape)
     return mat.tocsr()
 
 

@@ -123,7 +123,8 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
     stiffness = assembly.assemble_stiffness(domain)
     tracker = EnergyTracker(mass, stiffness, params, lyap)
     initial = scheme.initial_preset(cfg.initial, domain.dim)
-    scheme.run(domain, params, initial, config=_solver_config(cfg), observer=tracker)
+    scheme.run(domain, mass, stiffness, params, initial,
+               config=_solver_config(cfg), observer=tracker)
 
     try:
         fit = fit_decay_rate(tracker.records, cfg.fit_window)

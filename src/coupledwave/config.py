@@ -8,6 +8,7 @@ all raise ConfigError carrying the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 MODES = ("simulate", "convergence", "decay-study")
@@ -98,9 +99,12 @@ def _convert(key: str, token: str, lineno: int):
         except ValueError:
             raise ConfigError(f"{key!r} needs an integer, got {token!r}", lineno) from None
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"{key!r} needs a number, got {token!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key!r} needs a finite number, got {token!r}", lineno)
+    return value
 
 
 def _validate(cfg: RunConfig, lines: dict) -> None:

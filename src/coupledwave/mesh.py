@@ -166,18 +166,35 @@ def generate_unit_square(n_per_side: int) -> Mesh:
     return _make_mesh(2, vertices, np.asarray(cells), flags)
 
 
-def _edge_key(a: int, b: int) -> tuple:
-    return (a, b) if a < b else (b, a)
+def _edge_table(cells: np.ndarray, n_vertices: int) -> tuple:
+    """Number the distinct edges of a mesh in order of first use.
 
+    Local edge k of a triangle runs from its vertex k to vertex k + 1 (mod
+    3); an interval is its own single edge.  Edges are numbered as first met
+    in cell-major order, which fixes the vertex numbering of refined meshes.
 
-def _boundary_edges(cells: np.ndarray) -> set:
-    """Edges that belong to exactly one triangle (combinatorial boundary)."""
-    count: dict = {}
-    for tri in cells:
-        for k in range(3):
-            e = _edge_key(tri[k], tri[(k + 1) % 3])
-            count[e] = count.get(e, 0) + 1
-    return {e for e, c in count.items() if c == 1}
+    Returns
+    -------
+    ends : ndarray, shape (n_edges, 2)
+        Endpoints of each edge, oriented as in the cell that uses it first.
+    edge_of : ndarray, shape (n_cells, n_local_edges)
+        Edge number of every local edge.
+    count : ndarray, shape (n_edges,)
+        Number of cells sharing each edge.
+    """
+    local = np.stack([cells, np.roll(cells, -1, axis=1)], axis=-1)
+    if cells.shape[1] == 2:
+        local = local[:, :1]
+    local = local.reshape(-1, 2)
+    key = local.min(axis=1) * n_vertices + local.max(axis=1)
+    _, first, inverse, count = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    edge_of = number[inverse].reshape(cells.shape[0], -1)
+    return local[first[order]], edge_of, count[order]
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -188,42 +205,23 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     boundary edges inherit the boundary flag; midpoints of interior edges do
     not, even when both edge endpoints are flagged.
     """
-    verts = [mesh.vertices]
-    midpoint_id: dict = {}
-    next_id = mesh.n_vertices
-
-    def midpoint(a, b):
-        nonlocal next_id
-        key = _edge_key(a, b)
-        if key not in midpoint_id:
-            midpoint_id[key] = next_id
-            verts.append((mesh.vertices[a] + mesh.vertices[b]) / 2.0)
-            next_id += 1
-        return midpoint_id[key]
-
-    new_cells = []
+    ends, edge_of, count = _edge_table(mesh.cells, mesh.n_vertices)
+    midpoints = (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]) / 2.0
+    mid = mesh.n_vertices + edge_of
     if mesh.dim == 1:
-        for a, b in mesh.cells:
-            m = midpoint(a, b)
-            new_cells.append((a, m))
-            new_cells.append((m, b))
-        new_boundary = set()
+        a, b = mesh.cells.T
+        children = [(a, mid[:, 0]), (mid[:, 0], b)]
+        midpoint_flags = np.zeros(len(ends), dtype=bool)
     else:
-        for a, b, c in mesh.cells:
-            mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_cells.append((a, mab, mca))
-            new_cells.append((mab, b, mbc))
-            new_cells.append((mca, mbc, c))
-            new_cells.append((mab, mbc, mca))
-        new_boundary = _boundary_edges(mesh.cells)
-
-    vertices = np.vstack([verts[0]] + [v[None, :] for v in verts[1:]])
-    flags = np.zeros(len(vertices), dtype=bool)
-    flags[: mesh.n_vertices] = mesh.boundary_flags
-    for edge, vid_new in midpoint_id.items():
-        if edge in new_boundary:
-            flags[vid_new] = True
-    return _make_mesh(mesh.dim, vertices, np.asarray(new_cells), flags)
+        a, b, c = mesh.cells.T
+        mab, mbc, mca = mid.T
+        children = [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+        midpoint_flags = count == 1
+    # (child, vertex, cell) -> cell-major rows, children in the order listed
+    cells = np.array(children).transpose(2, 0, 1).reshape(-1, mesh.dim + 1)
+    vertices = np.vstack([mesh.vertices, midpoints])
+    flags = np.concatenate([mesh.boundary_flags, midpoint_flags])
+    return _make_mesh(mesh.dim, vertices, cells, flags)
 
 
 def interior_dof_map(mesh: Mesh) -> np.ndarray:
@@ -258,9 +256,10 @@ def validate(mesh: Mesh, shape_limit: float = SHAPE_REGULARITY_LIMIT) -> None:
         raise MeshError("mesh has no cells")
     if mesh.cells.min() < 0 or mesh.cells.max() >= mesh.n_vertices:
         raise MeshError("cell refers to a vertex that does not exist")
-    for cell in mesh.cells:
-        if len(set(cell.tolist())) != len(cell):
-            raise MeshError(f"degenerate cell with repeated vertex: {cell.tolist()}")
+    repeated = np.flatnonzero((np.diff(np.sort(mesh.cells, axis=1), axis=1) == 0).any(axis=1))
+    if repeated.size:
+        cell = mesh.cells[repeated[0]].tolist()
+        raise MeshError(f"degenerate cell with repeated vertex: {cell}")
 
     measures = cell_measures(mesh)
     if not (measures > 0.0).all():
@@ -282,10 +281,7 @@ def validate(mesh: Mesh, shape_limit: float = SHAPE_REGULARITY_LIMIT) -> None:
 
 
 def _validate_1d(mesh: Mesh, measures: np.ndarray) -> None:
-    count = np.zeros(mesh.n_vertices, dtype=int)
-    for a, b in mesh.cells:
-        count[a] += 1
-        count[b] += 1
+    count = np.bincount(mesh.cells.ravel(), minlength=mesh.n_vertices)
     if count.max() > 2 or count.min() < 1:
         raise MeshError("interval mesh is not a chain (vertex in 0 or >2 cells)")
     ends = np.flatnonzero(count == 1)
@@ -301,38 +297,26 @@ def _validate_1d(mesh: Mesh, measures: np.ndarray) -> None:
 
 
 def _validate_2d(mesh: Mesh, measures: np.ndarray) -> None:
-    seen = set()
-    for tri in mesh.cells:
-        key = tuple(sorted(tri.tolist()))
-        if key in seen:
-            raise MeshError(f"duplicate cell {sorted(tri.tolist())}")
-        seen.add(key)
+    ordered = np.sort(mesh.cells, axis=1)
+    _, first = np.unique(ordered, axis=0, return_index=True)
+    if first.size < mesh.n_cells:
+        repeat = np.setdiff1d(np.arange(mesh.n_cells), first)[0]
+        raise MeshError(f"duplicate cell {ordered[repeat].tolist()}")
 
-    count: dict = {}
-    oriented: dict = {}
-    for tri in mesh.cells:
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            e = _edge_key(a, b)
-            count[e] = count.get(e, 0) + 1
-            oriented.setdefault(e, []).append((a, b))
-    if max(count.values()) > 2:
+    ends, _, count = _edge_table(mesh.cells, mesh.n_vertices)
+    if count.max() > 2:
         raise MeshError("edge shared by more than two triangles")
 
-    boundary_edges = [oriented[e][0] for e, c in count.items() if c == 1]
+    a, b = ends[count == 1].T
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    for a, b in boundary_edges:
-        on_boundary[a] = on_boundary[b] = True
+    on_boundary[a] = on_boundary[b] = True
     if not np.array_equal(on_boundary, mesh.boundary_flags):
         raise MeshError("boundary flags disagree with the combinatorial boundary")
 
     # Shoelace over the oriented boundary edges gives the enclosed area; a
     # double-covered or missing patch breaks the match with the cell sum.
-    enclosed = 0.0
-    for a, b in boundary_edges:
-        xa, ya = mesh.vertices[a]
-        xb, yb = mesh.vertices[b]
-        enclosed += 0.5 * (xa * yb - xb * ya)
+    (xa, ya), (xb, yb) = mesh.vertices[a].T, mesh.vertices[b].T
+    enclosed = 0.5 * np.sum(xa * yb - xb * ya)
     total = measures.sum()
     if abs(total - enclosed) > 1e-12 * max(abs(enclosed), 1.0):
         raise MeshError("cell areas do not add up to the enclosed area (overlap or gap)")

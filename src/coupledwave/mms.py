@@ -22,7 +22,7 @@ import numpy as np
 
 from . import assembly, energy
 from .mesh import Mesh, refine_uniform
-from .scheme import SchemeParams, State, run
+from .scheme import SchemeParams, State, run, sine_mode
 from .sparse_linalg import SolverConfig, SolverFailure
 
 # 6th-order central stencils; with this step the self-check residual sits
@@ -68,13 +68,6 @@ def build_case(name: str, params: SchemeParams) -> ManufacturedCase:
     return factory(name, params)
 
 
-def _sine_mode(points: np.ndarray) -> np.ndarray:
-    vals = np.sin(np.pi * points[:, 0])
-    for d in range(1, points.shape[1]):
-        vals = vals * np.sin(np.pi * points[:, d])
-    return vals
-
-
 def _separable_decay(name: str, params: SchemeParams, dim: int, v_factor: float):
     """u = e^{-t} mode(x), v = v_factor * u, mode the first Dirichlet eigenmode.
 
@@ -89,7 +82,7 @@ def _separable_decay(name: str, params: SchemeParams, dim: int, v_factor: float)
     coef_v = q * (1.0 + lam * params.c**2 - params.eps_v) + params.alpha * (q - 1.0)
 
     def u(points, t):
-        return math.exp(-t) * _sine_mode(points)
+        return math.exp(-t) * sine_mode(points)
 
     return ManufacturedCase(
         name=name,
@@ -120,28 +113,6 @@ _CASES = {
     "symmetric": lambda n, p: _separable_decay(n, p, dim=2, v_factor=1.0),
     "zero": _zero_case,
 }
-
-_CASE_DIMS = {
-    "separable-decay": 2,
-    "separable-decay-1d": 1,
-    "symmetric": 2,
-    "zero": 2,
-}
-
-
-def case_names() -> tuple:
-    """Names accepted by build_case, sorted."""
-    return tuple(sorted(_CASES))
-
-
-def case_dimension(name: str) -> int:
-    """Spatial dimension of a named case, without constructing it."""
-    try:
-        return _CASE_DIMS[name]
-    except KeyError:
-        known = ", ".join(sorted(_CASES))
-        raise ValueError(f"unknown manufactured case {name!r}; known: {known}") from None
-
 
 def source_self_check(case: ManufacturedCase, n_samples: int = 100, seed: int = 0) -> float:
     """Max residual of the source identity at random (x, t) samples.
@@ -283,7 +254,8 @@ def measure_error(case: ManufacturedCase, mesh: Mesh, params: SchemeParams,
         lambda p: case.v_t(p, 0.0),
     )
     observer = _ErrorObserver(mesh, mass, stiffness, case, params)
-    run(mesh, params, initial, config=config, sources=sources, observer=observer)
+    run(mesh, mass, stiffness, params, initial,
+        config=config, sources=sources, observer=observer)
     return math.sqrt(observer.worst_sq)
 
 

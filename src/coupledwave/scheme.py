@@ -153,6 +153,8 @@ def step(
 
 def run(
     mesh: Mesh,
+    mass: sp.csr_matrix,
+    stiffness: sp.csr_matrix,
     params: SchemeParams,
     initial: tuple,
     config: SolverConfig | None = None,
@@ -163,6 +165,8 @@ def run(
 
     Parameters
     ----------
+    mass, stiffness : csr_matrix
+        Interior mass and stiffness matrices of ``mesh``.
     initial : tuple
         Callables (u0, u1, v0, v1) of the vertex coordinates.
     sources : callable, optional
@@ -175,8 +179,6 @@ def run(
     State
         The final state at level M_steps.
     """
-    mass = assembly.assemble_mass(mesh)
-    stiffness = assembly.assemble_stiffness(mesh)
     op = BlockOperator(mass, stiffness, params)
     state = initialize(mesh, params, *initial)
     if observer is not None:
@@ -199,6 +201,14 @@ def run(
     return state
 
 
+def sine_mode(points: np.ndarray) -> np.ndarray:
+    """First Dirichlet eigenmode of the unit interval or square, prod sin(pi x_d)."""
+    vals = np.sin(np.pi * points[:, 0])
+    for d in range(1, points.shape[1]):
+        vals = vals * np.sin(np.pi * points[:, d])
+    return vals
+
+
 def initial_preset(name: str, dim: int) -> tuple:
     """Named initial data (u0, u1, v0, v1) as vertex-coordinate callables.
 
@@ -206,12 +216,6 @@ def initial_preset(name: str, dim: int) -> tuple:
     ``sine``         first Dirichlet eigenmode in u, v at rest;
     ``sine-opposed`` the same mode with opposite signs in u and v.
     """
-
-    def mode(points):
-        vals = np.sin(np.pi * points[:, 0])
-        for d in range(1, points.shape[1]):
-            vals = vals * np.sin(np.pi * points[:, d])
-        return vals
 
     def zero(points):
         return np.zeros(len(points))
@@ -221,7 +225,7 @@ def initial_preset(name: str, dim: int) -> tuple:
     if name == "zero":
         return (zero, zero, zero, zero)
     if name == "sine":
-        return (mode, zero, zero, zero)
+        return (sine_mode, zero, zero, zero)
     if name == "sine-opposed":
-        return (mode, zero, lambda p: -mode(p), zero)
+        return (sine_mode, zero, lambda p: -sine_mode(p), zero)
     raise ValueError(f"unknown initial preset {name!r}; try zero, sine, sine-opposed")

@@ -66,7 +66,8 @@ def damping_runs(square8):
             tracker(s)
             states.append(s)
 
-        scheme.run(m, p, scheme.initial_preset("sine", 2), config=SOLVER, observer=observer)
+        scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 2),
+                   config=SOLVER, observer=observer)
         out[(eps_u, eps_v)] = (p, tracker, states)
     return out
 
@@ -76,7 +77,8 @@ def long_decay_run(square8):
     m, mass, stiff = square8
     p = damped_params(0.5, 0.5, k=0.01, T=10.0)
     tracker = en.EnergyTracker(mass, stiff, p)
-    scheme.run(m, p, scheme.initial_preset("sine", 2), config=SOLVER, observer=tracker)
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 2),
+               config=SOLVER, observer=tracker)
     return p, tracker
 
 
@@ -100,7 +102,8 @@ def test_criterion_2_monotone_decay(square8, damping_runs, report):
     m, mass, stiff = square8
     p = damped_params(0.5, 0.25)
     tracker = en.EnergyTracker(mass, stiff, p)
-    scheme.run(m, p, scheme.initial_preset("zero", 2), config=SOLVER, observer=tracker)
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("zero", 2),
+               config=SOLVER, observer=tracker)
     zero_ok = all(r.E == 0.0 for r in tracker.records)
     ok = ok and zero_ok
     report(2, "monotone decay", ok, f"zero-energy run E==0: {zero_ok}")

@@ -42,6 +42,42 @@ def test_element_rejects_degenerate_cell():
         asm.element_mass(flat)
     with pytest.raises(asm.AssemblyError):
         asm.element_stiffness(np.array([[0.3], [0.3]]))
+    with pytest.raises(asm.AssemblyError):
+        asm.element_mass(np.stack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], flat]))
+
+
+def jittered_meshes(rng):
+    """A 2D square and a 1D interval with interior vertices moved by up to h/5."""
+    for base in (msh.generate_unit_square(6), msh.generate_unit_interval(9)):
+        verts = base.vertices.copy()
+        inner = ~base.boundary_flags
+        verts[inner] += rng.uniform(-0.2, 0.2, size=verts[inner].shape) * base.h
+        h = float(msh.cell_diameters(verts, base.cells).max())
+        m = msh.Mesh(base.dim, verts, base.cells.copy(), base.boundary_flags.copy(), h)
+        msh.validate(m)
+        yield m
+
+
+def test_assembled_matrices_match_oracle_cell_sum(rng):
+    for m in jittered_meshes(rng):
+        inner = ~m.boundary_flags
+        for oracle, assembled, loads in (
+            (oracles.mass_oracle, asm.assemble_mass, asm.load_matrix),
+            (oracles.stiffness_oracle, asm.assemble_stiffness, None),
+        ):
+            full = np.zeros((m.n_vertices, m.n_vertices))
+            for cell in m.cells:
+                full[np.ix_(cell, cell)] += oracle(m.vertices[cell])
+            assert rel_diff(assembled(m).toarray(), full[np.ix_(inner, inner)]) < 1e-13
+            if loads is not None:
+                assert rel_diff(loads(m).toarray(), full[inner]) < 1e-13
+
+
+def test_element_matrices_of_a_stack_equal_per_cell_calls(rng):
+    for m in jittered_meshes(rng):
+        coords = m.vertices[m.cells]
+        for element in (asm.element_mass, asm.element_stiffness):
+            np.testing.assert_array_equal(element(coords), [element(c) for c in coords])
 
 
 def test_interval_interior_matrices():

@@ -54,6 +54,11 @@ def test_comments_and_blank_lines():
         ("mode = convergence\nlevels = 2\n", "levels", 2),
         ("mode = simulate\nlyapunov_beta = 1.0\n", "together", 2),
         ("mode = simulate\nmethod = qr\n", "method", 2),
+        ("mode = simulate\nk = nan\n", "finite", 2),
+        ("mode = simulate\nT = inf\n", "finite", 2),
+        ("mode = simulate\nc = nan\n", "finite", 2),
+        ("mode = simulate\nalpha = inf\n", "finite", 2),
+        ("mode = simulate\neps_u = nan\n", "finite", 2),
     ],
 )
 def test_config_errors_carry_line_numbers(text, fragment, line):
@@ -237,6 +242,13 @@ def test_exit_code_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "mode = simulate\neps_u = -2\n")
     assert run_cli(["--config", cfg]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_exit_code_nonfinite_config_value(tmp_path, capsys):
+    cfg = write_config(tmp_path, "mode = simulate\nc = nan\n")
+    assert run_cli(["--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 def test_exit_code_missing_mesh_file(tmp_path, capsys):

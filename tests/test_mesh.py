@@ -56,6 +56,22 @@ def test_refine_square_counts():
     msh.validate(r)
 
 
+def test_refine_unit_square_one_pinned():
+    # midpoints are numbered in order of first use, cell by cell, edge by edge
+    r = msh.refine_uniform(msh.generate_unit_square(1))
+    np.testing.assert_array_equal(
+        r.vertices,
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0],
+         [1.0, 0.5], [0.5, 0.5], [0.5, 1.0], [0.0, 0.5]],
+    )
+    np.testing.assert_array_equal(
+        r.cells,
+        [[0, 4, 6], [4, 1, 5], [6, 5, 3], [4, 5, 6],
+         [0, 6, 8], [6, 3, 7], [8, 7, 2], [6, 7, 8]],
+    )
+    np.testing.assert_array_equal(r.boundary_flags, [1, 1, 1, 1, 1, 1, 0, 1, 1])
+
+
 def test_refine_preserves_shape_ratio_exactly():
     m = msh.generate_unit_square(2)
     r = msh.refine_uniform(m)
@@ -145,6 +161,25 @@ def test_validate_rejects_sliver():
     flags = np.ones(4, dtype=bool)
     m = msh.Mesh(2, verts, cells, flags, 2.0)
     with pytest.raises(msh.MeshError, match="shape"):
+        msh.validate(m)
+
+
+@pytest.mark.parametrize(
+    "vertices,cells,fragment",
+    [
+        # unit square split on its diagonal, plus a third triangle on the diagonal
+        ([[0, 0], [1, 0], [0, 1], [1, 1], [0.8, 0.2]],
+         [[0, 1, 3], [0, 3, 2], [0, 4, 3]], "more than two"),
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 3], [0, 3, 3]], "repeated vertex"),
+        # two triangles on the same side of their shared edge 0-1
+        ([[1, 1], [2, 1], [1.5, 2], [1.6, 1.8]], [[0, 1, 2], [0, 1, 3]], "overlap"),
+    ],
+)
+def test_validate_rejects_bad_connectivity(vertices, cells, fragment):
+    verts = np.array(vertices, dtype=float)
+    cells = np.array(cells)
+    m = msh.Mesh(2, verts, cells, np.ones(len(verts), dtype=bool), 2.0)
+    with pytest.raises(msh.MeshError, match=fragment):
         msh.validate(m)
 
 

@@ -13,6 +13,10 @@ def params_for(k=0.1, T=1.0, **kw):
     return scheme.SchemeParams.from_final_time(k=k, T=T, **defaults)
 
 
+def matrices(m):
+    return asm.assemble_mass(m), asm.assemble_stiffness(m)
+
+
 def test_params_validation():
     with pytest.raises(ValueError, match="wave speed"):
         params_for(c=0.0)
@@ -81,7 +85,7 @@ def test_step_matches_two_by_two_cramer_solve():
 def test_zero_state_stays_zero():
     m = msh.generate_unit_square(3)
     p = params_for(k=0.1, T=0.5)
-    final = scheme.run(m, p, scheme.initial_preset("zero", 2))
+    final = scheme.run(m, *matrices(m), p, scheme.initial_preset("zero", 2))
     assert (final.u_curr == 0.0).all()
     assert (final.v_curr == 0.0).all()
     assert final.n == p.M_steps
@@ -93,8 +97,8 @@ def test_exchange_symmetry_of_fields():
     fwd = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.125)
     bwd = params_for(k=0.05, T=0.5, eps_u=0.125, eps_v=0.5)
     mode, zero, anti, _ = scheme.initial_preset("sine-opposed", 2)
-    a = scheme.run(m, fwd, (mode, zero, anti, zero))
-    b = scheme.run(m, bwd, (anti, zero, mode, zero))
+    a = scheme.run(m, *matrices(m), fwd, (mode, zero, anti, zero))
+    b = scheme.run(m, *matrices(m), bwd, (anti, zero, mode, zero))
     scale = np.abs(a.u_curr).max()
     assert np.abs(a.u_curr - b.v_curr).max() < 1e-12 * scale
     assert np.abs(a.v_curr - b.u_curr).max() < 1e-12 * scale
@@ -106,7 +110,7 @@ def test_identical_fields_stay_identical():
     m = msh.generate_unit_interval(8)
     p = params_for(k=0.05, T=0.5, eps_u=0.25, eps_v=0.25, alpha=3.0)
     mode, zero, _, _ = scheme.initial_preset("sine", 1)
-    final = scheme.run(m, p, (mode, zero, mode, zero))
+    final = scheme.run(m, *matrices(m), p, (mode, zero, mode, zero))
     scale = np.abs(final.u_curr).max()
     assert np.abs(final.u_curr - final.v_curr).max() < 1e-12 * scale
 
@@ -127,7 +131,8 @@ def test_run_observer_sees_every_level():
     m = msh.generate_unit_interval(6)
     p = params_for(k=0.1, T=1.0)
     seen = []
-    scheme.run(m, p, scheme.initial_preset("sine", 1), observer=lambda s: seen.append(s.n))
+    scheme.run(m, *matrices(m), p, scheme.initial_preset("sine", 1),
+               observer=lambda s: seen.append(s.n))
     assert seen == list(range(1, p.M_steps + 1))
 
 
@@ -136,7 +141,7 @@ def test_run_reports_failing_step():
     p = params_for(k=0.001, T=0.01)
     cfg = SolverConfig(rel_tol=1e-14, max_iter=1)
     with pytest.raises(SolverFailure, match="advancing to level 2"):
-        scheme.run(m, p, scheme.initial_preset("sine", 2), config=cfg)
+        scheme.run(m, *matrices(m), p, scheme.initial_preset("sine", 2), config=cfg)
 
 
 def test_sources_receive_target_time():
@@ -148,7 +153,7 @@ def test_sources_receive_target_time():
         times.append(t)
         return None, None
 
-    scheme.run(m, p, scheme.initial_preset("zero", 1), sources=sources)
+    scheme.run(m, *matrices(m), p, scheme.initial_preset("zero", 1), sources=sources)
     np.testing.assert_allclose(times, [0.5, 0.75, 1.0])
 
 
