@@ -36,7 +36,7 @@ def main(argv=None) -> int:
             c=args.c, eps_u=eps, eps_v=eps, alpha=args.alpha, k=args.k, T=args.T
         )
         tracker = energy.EnergyTracker(mass, stiffness, params)
-        scheme.run(m, mass, stiffness, params, scheme.initial_preset("sine", 2),
+        scheme.run(m, mass, stiffness, params, scheme.initial_preset("sine"),
                    config=solver, observer=tracker)
         fit = energy.fit_decay_rate(tracker.records, args.window)
         first, last = tracker.records[0].E, tracker.records[-1].E

@@ -15,8 +15,8 @@ import sys
 
 from . import assembly, mesh, mms, scheme
 from .config import ConfigError, RunConfig, parse_config
-from .energy import EnergyTracker, InsufficientDataError, LyapunovParams, fit_decay_rate
-from .sparse_linalg import SolverConfig, SolverFailure
+from .energy import EnergyTracker, InsufficientDataError, fit_decay_rate
+from .sparse_linalg import SolverFailure
 
 _EXIT_CONFIG = 1
 _EXIT_SOLVER = 2
@@ -97,14 +97,6 @@ def _build_domain(cfg: RunConfig) -> mesh.Mesh:
     return mesh.read_mesh(cfg.domain.removeprefix("file:"))
 
 
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        rel_tol=cfg.rel_tol,
-        max_iter=cfg.max_iter if cfg.max_iter > 0 else None,
-        method=cfg.method,
-    )
-
-
 def _out_path(args, name: str) -> str:
     if args.out_dir is None:
         return name
@@ -113,18 +105,11 @@ def _out_path(args, name: str) -> str:
 
 
 def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
-    params = scheme.SchemeParams.from_final_time(
-        c=cfg.c, eps_u=cfg.eps_u, eps_v=cfg.eps_v, alpha=cfg.alpha, k=cfg.k, T=cfg.T
-    )
-    lyap = None
-    if cfg.lyapunov_n_weight is not None:
-        lyap = LyapunovParams(cfg.lyapunov_n_weight, cfg.lyapunov_beta)
     mass = assembly.assemble_mass(domain)
     stiffness = assembly.assemble_stiffness(domain)
-    tracker = EnergyTracker(mass, stiffness, params, lyap)
-    initial = scheme.initial_preset(cfg.initial, domain.dim)
-    scheme.run(domain, mass, stiffness, params, initial,
-               config=_solver_config(cfg), observer=tracker)
+    tracker = EnergyTracker(mass, stiffness, cfg.scheme_params, cfg.lyapunov_params)
+    scheme.run(domain, mass, stiffness, cfg.scheme_params, scheme.initial_preset(cfg.initial),
+               config=cfg.solver_config, observer=tracker)
 
     try:
         fit = fit_decay_rate(tracker.records, cfg.fit_window)
@@ -174,11 +159,8 @@ def _write_energy_csv(path: str, tracker: EnergyTracker) -> None:
 
 
 def _run_convergence(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
-    params = scheme.SchemeParams.from_final_time(
-        c=cfg.c, eps_u=cfg.eps_u, eps_v=cfg.eps_v, alpha=cfg.alpha, k=cfg.k, T=cfg.T
-    )
     report = mms.convergence_study(
-        cfg.case, domain, cfg.k, cfg.levels, params, _solver_config(cfg)
+        cfg.case, domain, cfg.k, cfg.levels, cfg.scheme_params, cfg.solver_config
     )
     table_path = _out_path(args, cfg.out_table)
     rows = [TABLE_HEADER]

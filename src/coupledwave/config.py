@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+from . import mms, scheme
+from .energy import LyapunovParams
+from .sparse_linalg import SolverConfig
 
 MODES = ("simulate", "convergence", "decay-study")
 
@@ -49,13 +54,26 @@ class RunConfig:
     out_summary: str = "summary.json"
     out_table: str = "convergence.csv"
 
+    # the objects that use these values own their checks
+    @cached_property
+    def scheme_params(self) -> scheme.SchemeParams:
+        return scheme.SchemeParams.from_final_time(
+            c=self.c, eps_u=self.eps_u, eps_v=self.eps_v, alpha=self.alpha, k=self.k, T=self.T
+        )
 
+    @cached_property
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(self.rel_tol, self.max_iter or None, self.method)
+
+    @cached_property
+    def lyapunov_params(self) -> LyapunovParams | None:
+        if self.lyapunov_n_weight is None:
+            return None
+        return LyapunovParams(self.lyapunov_n_weight, self.lyapunov_beta)
+
+
+# the annotation of each field decides how its value parses
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"n_per_side", "levels", "max_iter"}
-_FLOAT_KEYS = {"c", "eps_u", "eps_v", "alpha", "k", "T", "rel_tol",
-               "lyapunov_n_weight", "lyapunov_beta", "fit_window"}
-_STR_KEYS = {"mode", "domain", "initial", "case", "method",
-             "out_energy", "out_summary", "out_table"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -63,7 +81,10 @@ def parse_config(text: str) -> RunConfig:
 
     ``mode`` is the one universally required key; everything else has a
     documented default.  decay-study mode additionally requires both
-    Lyapunov weights.
+    Lyapunov weights.  Range checks belong to the objects built from the
+    config (SchemeParams, SolverConfig, LyapunovParams, the initial presets
+    and the manufactured cases); each of their messages leads with the key it
+    names, and the ConfigError raised here carries that key's line.
     """
     values: dict = {}
     lines: dict = {}
@@ -84,16 +105,20 @@ def parse_config(text: str) -> RunConfig:
     if "mode" not in values:
         raise ConfigError("missing required key 'mode'")
     cfg = RunConfig(**values)
-    _validate(cfg, lines)
+    try:
+        _validate(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc), lines.get(str(exc).split(maxsplit=1)[0])) from None
     return cfg
 
 
 def _convert(key: str, token: str, lineno: int):
-    if key in _STR_KEYS:
+    kind = _FIELD_TYPES[key]
+    if kind == "str":
         if not token:
             raise ConfigError(f"empty value for {key!r}", lineno)
         return token
-    if key in _INT_KEYS:
+    if kind == "int":
         try:
             return int(token)
         except ValueError:
@@ -107,55 +132,29 @@ def _convert(key: str, token: str, lineno: int):
     return value
 
 
-def _validate(cfg: RunConfig, lines: dict) -> None:
-    def fail(key: str, message: str):
-        raise ConfigError(message, lines.get(key))
-
+def _validate(cfg: RunConfig) -> None:
     if cfg.mode not in MODES:
-        fail("mode", f"mode must be one of {', '.join(MODES)}, got {cfg.mode!r}")
+        raise ValueError(f"mode must be one of {', '.join(MODES)}, got {cfg.mode!r}")
     if not (cfg.domain in ("square", "interval") or cfg.domain.startswith("file:")):
-        fail("domain", f"domain must be square, interval, or file:<path>, got {cfg.domain!r}")
+        raise ValueError(f"domain must be square, interval, or file:<path>, got {cfg.domain!r}")
     if cfg.n_per_side < 1:
-        fail("n_per_side", f"n_per_side must be at least 1, got {cfg.n_per_side}")
-    if cfg.c <= 0.0:
-        fail("c", f"c must be positive, got {cfg.c}")
-    if cfg.eps_u < 0.0:
-        fail("eps_u", f"eps_u must be nonnegative, got {cfg.eps_u}")
-    if cfg.eps_v < 0.0:
-        fail("eps_v", f"eps_v must be nonnegative, got {cfg.eps_v}")
-    if cfg.alpha <= 0.0:
-        fail("alpha", f"alpha must be positive, got {cfg.alpha}")
-    if cfg.k <= 0.0:
-        fail("k", f"k must be positive, got {cfg.k}")
-    if cfg.T <= 0.0:
-        fail("T", f"T must be positive, got {cfg.T}")
-    steps = round(cfg.T / cfg.k)
-    if steps < 1 or abs(steps * cfg.k - cfg.T) > 1e-12 * cfg.T:
-        fail("k", f"k = {cfg.k!r} does not divide T = {cfg.T!r} into whole steps")
-    if not (0.0 < cfg.rel_tol < 1.0):
-        fail("rel_tol", f"rel_tol must be in (0, 1), got {cfg.rel_tol}")
-    if cfg.max_iter < 0:
-        fail("max_iter", f"max_iter must be 0 (auto) or positive, got {cfg.max_iter}")
-    if cfg.method not in ("cg", "cholesky"):
-        fail("method", f"method must be cg or cholesky, got {cfg.method!r}")
+        raise ValueError(f"n_per_side must be at least 1, got {cfg.n_per_side}")
     if not (0.0 < cfg.fit_window <= 1.0):
-        fail("fit_window", f"fit_window must be in (0, 1], got {cfg.fit_window}")
-
-    has_n, has_beta = cfg.lyapunov_n_weight is not None, cfg.lyapunov_beta is not None
-    if has_n != has_beta:
-        key = "lyapunov_n_weight" if has_n else "lyapunov_beta"
-        fail(key, "lyapunov_n_weight and lyapunov_beta must be set together")
-    if has_n and cfg.lyapunov_n_weight <= 0.0:
-        fail("lyapunov_n_weight", "lyapunov_n_weight must be positive")
-    if has_beta and cfg.lyapunov_beta <= 0.0:
-        fail("lyapunov_beta", "lyapunov_beta must be positive")
-
-    if cfg.mode == "decay-study" and not has_n:
-        raise ConfigError(
-            "decay-study mode requires lyapunov_n_weight and lyapunov_beta"
-        )
+        raise ValueError(f"fit_window must be in (0, 1], got {cfg.fit_window}")
+    if (cfg.lyapunov_n_weight is None) != (cfg.lyapunov_beta is None):
+        key = "lyapunov_beta" if cfg.lyapunov_n_weight is None else "lyapunov_n_weight"
+        raise ValueError(f"{key} is set alone; lyapunov_n_weight and lyapunov_beta go together")
+    if cfg.mode == "decay-study" and cfg.lyapunov_n_weight is None:
+        raise ValueError("decay-study mode requires lyapunov_n_weight and lyapunov_beta")
     if cfg.mode == "convergence" and cfg.levels < 3:
-        fail("levels", f"convergence mode needs at least 3 levels, got {cfg.levels}")
+        raise ValueError(f"levels = {cfg.levels} is too few; convergence mode needs at least 3")
+
+    # building the owners checks their values; the cached objects serve the run
+    cfg.scheme_params, cfg.solver_config, cfg.lyapunov_params
+    if cfg.mode == "convergence":
+        mms.build_case(cfg.case, cfg.scheme_params)
+    else:
+        scheme.initial_preset(cfg.initial)
 
 
 def render_config(cfg: RunConfig) -> str:

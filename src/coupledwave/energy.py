@@ -15,6 +15,7 @@ term and is reported for monitoring, not enforced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -70,11 +71,11 @@ class LyapunovParams:
     beta: float
 
     def __post_init__(self):
-        if self.N_weight <= 0.0 or self.beta <= 0.0:
-            raise ValueError(
-                f"Lyapunov weights must be positive, got N_weight={self.N_weight}, "
-                f"beta={self.beta}"
-            )
+        # messages lead with the config key of each weight
+        if not self.N_weight > 0.0:
+            raise ValueError(f"lyapunov_n_weight (N_weight) must be positive, got {self.N_weight}")
+        if not self.beta > 0.0:
+            raise ValueError(f"lyapunov_beta (beta) must be positive, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +153,14 @@ def dissipation_identity_residual(
 
 def lyapunov(state: State, mass, stiffness, params: SchemeParams, lp: LyapunovParams) -> float:
     """N_weight * E plus the beta-weighted velocity-displacement cross terms."""
-    rec = energy(state, mass, stiffness, params)
+    return _lyapunov(energy(state, mass, stiffness, params).E, state, mass, params, lp)
+
+
+def _lyapunov(E: float, state: State, mass, params: SchemeParams, lp: LyapunovParams) -> float:
     du = (state.u_curr - state.u_prev) / params.k
     dv = (state.v_curr - state.v_prev) / params.k
     cross = float(du @ (mass @ state.u_curr)) + float(dv @ (mass @ state.v_curr))
-    return lp.N_weight * rec.E + lp.beta * cross
+    return lp.N_weight * E + lp.beta * cross
 
 
 class EnergyTracker:
@@ -164,7 +168,8 @@ class EnergyTracker:
 
     ``identity_residuals[i]`` and ``dE[i]`` describe the step into record i
     and are 0.0 for the first record, which no scheme step produced.
-    Lyapunov values are tracked when parameters are supplied.
+    Lyapunov values are tracked when parameters are supplied.  A level whose
+    energy or Lyapunov value is not finite raises ValueError.
     """
 
     def __init__(self, mass, stiffness, params: SchemeParams, lyapunov_params=None):
@@ -180,6 +185,12 @@ class EnergyTracker:
 
     def __call__(self, state: State) -> None:
         rec = energy(state, self.mass, self.stiffness, self.params)
+        lyap = rec.E
+        if self.lyapunov_params is not None:
+            lyap = _lyapunov(rec.E, state, self.mass, self.params, self.lyapunov_params)
+        if not (math.isfinite(rec.E) and math.isfinite(lyap)):
+            raise ValueError(f"energy {rec.E!r} or Lyapunov value {lyap!r} "
+                             f"at level {state.n} is not finite")
         if self._last_state is None:
             self.dE.append(0.0)
             self.identity_residuals.append(0.0)
@@ -196,12 +207,7 @@ class EnergyTracker:
             rec = replace(rec, dissipation=breakdown)
             self.dE.append(drop)
             self.identity_residuals.append(abs(drop - breakdown.total))
-        if self.lyapunov_params is not None:
-            self.lyapunov_values.append(
-                lyapunov(state, self.mass, self.stiffness, self.params, self.lyapunov_params)
-            )
-        else:
-            self.lyapunov_values.append(rec.E)
+        self.lyapunov_values.append(lyap)
         self.records.append(rec)
         self._last_state = state
 

@@ -64,7 +64,7 @@ def build_case(name: str, params: SchemeParams) -> ManufacturedCase:
         factory = _CASES[name]
     except KeyError:
         known = ", ".join(sorted(_CASES))
-        raise ValueError(f"unknown manufactured case {name!r}; known: {known}") from None
+        raise ValueError(f"case {name!r} is an unknown manufactured case; try {known}") from None
     return factory(name, params)
 
 

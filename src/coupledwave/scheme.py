@@ -15,6 +15,7 @@ run; the off-diagonal blocks are -alpha M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,27 +44,40 @@ class SchemeParams:
     M_steps: int
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError(f"wave speed must be positive, got {self.c}")
-        if self.eps_u < 0.0 or self.eps_v < 0.0:
-            raise ValueError("damping coefficients must be nonnegative")
-        if self.alpha <= 0.0:
-            raise ValueError(f"coupling coefficient must be positive, got {self.alpha}")
-        if self.k <= 0.0:
-            raise ValueError(f"time step must be positive, got {self.k}")
-        if self.M_steps < 1:
-            raise ValueError(f"need at least one step, got {self.M_steps}")
-        if abs(self.M_steps * self.k - self.T) > 1e-12 * abs(self.T):
-            raise ValueError(
-                f"inconsistent time grid: M_steps * k = {self.M_steps * self.k!r} "
-                f"but T = {self.T!r}"
-            )
+        # every message leads with the field it names, which is also its config key
+        if not self.c > 0.0:
+            raise ValueError(f"c (wave speed) must be positive, got {self.c}")
+        for name, value in (("eps_u", self.eps_u), ("eps_v", self.eps_v)):
+            if not value >= 0.0:
+                raise ValueError(f"{name} (damping) must be nonnegative, got {value}")
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha (coupling coefficient) must be positive, got {self.alpha}")
+        if not self.k > 0.0:
+            raise ValueError(f"k (time step) must be positive, got {self.k}")
+        if not self.T > 0.0:
+            raise ValueError(f"T (final time) must be positive, got {self.T}")
+        if self.M_steps < 1 or abs(self.M_steps * self.k - self.T) > 1e-12 * self.T:
+            raise ValueError(f"k = {self.k!r} does not divide T = {self.T!r} (time grid)")
+        # the scalars BlockOperator multiplies M and K by
+        for name, coefficient, value in (
+            ("k", "1/k^2", 1.0 / self.k / self.k),
+            ("eps_u", "eps_u/k", self.eps_u / self.k),
+            ("eps_v", "eps_v/k", self.eps_v / self.k),
+            ("c", "c^2", self.c * self.c),
+            ("alpha", "alpha", self.alpha),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is out of range: the step "
+                                 f"coefficient {coefficient} is not finite (k = {self.k!r})")
 
     @classmethod
     def from_final_time(cls, *, c, eps_u, eps_v, alpha, k, T) -> "SchemeParams":
         """Derive the step count from k and T, requiring k to divide T."""
-        steps = int(round(T / k))
-        return cls(c=c, eps_u=eps_u, eps_v=eps_v, alpha=alpha, k=k, T=T, M_steps=steps)
+        # a nonpositive k or T gets its own message from __post_init__
+        steps = T / k if k > 0.0 and T > 0.0 else 0.0
+        if not math.isfinite(steps):
+            raise ValueError(f"k = {k!r} is too small for T = {T!r}: T/k is not finite")
+        return cls(c=c, eps_u=eps_u, eps_v=eps_v, alpha=alpha, k=k, T=T, M_steps=round(steps))
 
 
 @dataclass(frozen=True)
@@ -209,7 +223,7 @@ def sine_mode(points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def initial_preset(name: str, dim: int) -> tuple:
+def initial_preset(name: str) -> tuple:
     """Named initial data (u0, u1, v0, v1) as vertex-coordinate callables.
 
     ``zero``         rest state everywhere;
@@ -220,12 +234,10 @@ def initial_preset(name: str, dim: int) -> tuple:
     def zero(points):
         return np.zeros(len(points))
 
-    if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension {dim}")
     if name == "zero":
         return (zero, zero, zero, zero)
     if name == "sine":
         return (sine_mode, zero, zero, zero)
     if name == "sine-opposed":
         return (sine_mode, zero, lambda p: -sine_mode(p), zero)
-    raise ValueError(f"unknown initial preset {name!r}; try zero, sine, sine-opposed")
+    raise ValueError(f"initial {name!r}: unknown initial preset; try zero, sine, sine-opposed")

@@ -33,7 +33,7 @@ class SolverConfig:
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.method not in ("cg", "cholesky"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"method must be cg or cholesky, got {self.method!r}")
 
 
 class SolverFailure(RuntimeError):

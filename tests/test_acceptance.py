@@ -66,7 +66,7 @@ def damping_runs(square8):
             tracker(s)
             states.append(s)
 
-        scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 2),
+        scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
                    config=SOLVER, observer=observer)
         out[(eps_u, eps_v)] = (p, tracker, states)
     return out
@@ -77,7 +77,7 @@ def long_decay_run(square8):
     m, mass, stiff = square8
     p = damped_params(0.5, 0.5, k=0.01, T=10.0)
     tracker = en.EnergyTracker(mass, stiff, p)
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 2),
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
                config=SOLVER, observer=tracker)
     return p, tracker
 
@@ -102,7 +102,7 @@ def test_criterion_2_monotone_decay(square8, damping_runs, report):
     m, mass, stiff = square8
     p = damped_params(0.5, 0.25)
     tracker = en.EnergyTracker(mass, stiff, p)
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("zero", 2),
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("zero"),
                config=SOLVER, observer=tracker)
     zero_ok = all(r.E == 0.0 for r in tracker.records)
     ok = ok and zero_ok

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def test_comments_and_blank_lines():
     assert cfg.k == 0.02 and cfg.eps_u == 0.5
 
 
+# values each owner (SchemeParams, the initial presets, the MMS cases) rejects
+OWNER_ERRORS = [
+    ("mode = simulate\nT = 1e300\nk = 1e-10\n", "T/k is not finite", 3),
+    ("mode = simulate\nc = 1e200\n", "c\\^2", 2),
+    ("mode = simulate\nT = 1e-170\nk = 1e-170\n", "1/k\\^2", 3),
+    ("mode = simulate\nk = 0.1\neps_u = 1e308\n", "eps_u/k", 3),
+    ("mode = simulate\nT = -1\n", "final time", 2),
+    ("mode = simulate\ninitial = gaussian\n", "unknown initial preset", 2),
+    ("mode = convergence\ncase = ripple\n", "unknown manufactured case", 2),
+]
+
+
 @pytest.mark.parametrize(
     "text,fragment,line",
     [
@@ -59,12 +72,17 @@ def test_comments_and_blank_lines():
         ("mode = simulate\nc = nan\n", "finite", 2),
         ("mode = simulate\nalpha = inf\n", "finite", 2),
         ("mode = simulate\neps_u = nan\n", "finite", 2),
-    ],
+    ] + OWNER_ERRORS,
 )
 def test_config_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(ConfigError, match=fragment) as err:
         parse_config(text)
     assert err.value.line == line
+
+
+def test_names_of_ignored_keys_are_not_checked():
+    assert parse_config("mode = convergence\ninitial = gaussian\n").initial == "gaussian"
+    assert parse_config("mode = simulate\ncase = ripple\n").case == "ripple"
 
 
 def test_missing_mode_is_an_error():
@@ -105,6 +123,35 @@ def test_render_parse_round_trip_generated(c, eps, alpha, k, steps, window):
         alpha=alpha, k=k, T=k * steps, fit_window=window, initial="sine",
     )
     assert parse_config(render_config(cfg)) == cfg
+
+
+_EXTREME_VALUES = st.one_of(
+    st.sampled_from(["1e300", "-1e300", "1e-300", "5e-324", "-0.0", "0", "nan", "inf",
+                     "-inf", "1e308", "1e-170", "2.2250738585072014e-308"]),
+    st.floats().map(repr),
+    st.integers(-10**400, 10**400).map(str),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(("simulate", "convergence", "decay-study")),
+    pairs=st.dictionaries(
+        st.sampled_from([f.name for f in fields(RunConfig) if f.name != "mode"]),
+        _EXTREME_VALUES,
+        max_size=6,
+    ),
+)
+def test_any_config_text_parses_or_raises_config_error(mode, pairs):
+    text = f"mode = {mode}\n" + "".join(f"{key} = {value}\n" for key, value in pairs.items())
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert cfg.scheme_params.M_steps >= 1
+    assert cfg.solver_config.method == cfg.method
+    assert (cfg.lyapunov_params is None) == (cfg.lyapunov_n_weight is None)
 
 
 # --- CLI end to end ---------------------------------------------------------
@@ -251,6 +298,27 @@ def test_exit_code_nonfinite_config_value(tmp_path, capsys):
     assert not (tmp_path / "o" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("text,fragment,line", OWNER_ERRORS)
+def test_exit_code_owner_rejects_config_value(tmp_path, capsys, text, fragment, line):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_cli(["--config", cfg, "--out-dir", str(out)]) == 1
+    assert f"line {line}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "mode = decay-study\nn_per_side = 4\nk = 0.1\nT = 1\ninitial = sine\n"
+        "lyapunov_n_weight = 1e308\nlyapunov_beta = 1\n",
+    )
+    out = tmp_path / "o"
+    assert run_cli(["--config", cfg, "--out-dir", str(out)]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_missing_mesh_file(tmp_path, capsys):
     cfg = write_config(tmp_path, "mode = simulate\ndomain = file:/nope/none.mesh\n")
     assert run_cli(["--config", cfg]) == 3
@@ -259,10 +327,10 @@ def test_exit_code_missing_mesh_file(tmp_path, capsys):
 
 def test_exit_code_bad_mesh_file(tmp_path, capsys):
     bad = tmp_path / "bad.mesh"
-    bad.write_text("2 3 1\n0 0 1\n1 0 1\n1 1 1\n0 1 2\n")  # repeated vertex in cell
+    bad.write_text("2 3 1\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n")  # repeated vertex in cell
     cfg = write_config(tmp_path, f"mode = simulate\ndomain = file:{bad}\n")
     assert run_cli(["--config", cfg]) == 1
-    capsys.readouterr()
+    assert "repeated vertex" in capsys.readouterr().err
 
 
 def test_exit_code_solver_failure(tmp_path, capsys):

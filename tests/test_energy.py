@@ -62,7 +62,7 @@ def test_energy_equals_component_sum_along_run():
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
     p = scheme.SchemeParams.from_final_time(c=1, eps_u=0.5, eps_v=0.25, alpha=1, k=0.05, T=0.5)
     tracker = en.EnergyTracker(mass, stiff, p)
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 2), observer=tracker)
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=tracker)
     for rec in tracker.records:
         parts = rec.kinetic_u + rec.kinetic_v + rec.elastic_u + rec.elastic_v + rec.coupling
         assert rec.E >= 0.0
@@ -90,7 +90,7 @@ def test_dissipation_terms_nonpositive_and_identity_tight():
     from coupledwave.sparse_linalg import SolverConfig
 
     scheme.run(
-        m, mass, stiff, p, scheme.initial_preset("sine", 2),
+        m, mass, stiff, p, scheme.initial_preset("sine"),
         config=SolverConfig(rel_tol=1e-14), observer=tracker,
     )
     assert tracker.max_identity_residual <= 1e-10 * max(tracker.records[0].E, 1.0)
@@ -98,7 +98,7 @@ def test_dissipation_terms_nonpositive_and_identity_tight():
     # re-walk the run to check the sign structure of each summand
     states = []
     tracker2 = lambda s: states.append(s)
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 2),
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
                config=SolverConfig(rel_tol=1e-14), observer=tracker2)
     for prev, cur in zip(states, states[1:]):
         bd = en.dissipation_breakdown(
@@ -150,7 +150,7 @@ def test_tracker_layout():
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
     p = scheme.SchemeParams.from_final_time(c=1, eps_u=0, eps_v=0, alpha=1, k=0.1, T=1.0)
     tracker = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(2.0, 0.125))
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 1), observer=tracker)
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=tracker)
     assert len(tracker.records) == p.M_steps
     assert tracker.dE[0] == 0.0 and tracker.identity_residuals[0] == 0.0
     assert tracker.records[0].dissipation is None
@@ -162,8 +162,21 @@ def test_tracker_layout():
 
     # without Lyapunov parameters the tracked value falls back to E itself
     plain = en.EnergyTracker(mass, stiff, p)
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine", 1), observer=plain)
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=plain)
     assert plain.lyapunov_values == [r.E for r in plain.records]
+
+
+def test_tracker_lyapunov_equals_lyapunov_bitwise():
+    m = msh.generate_unit_interval(6)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    p = scheme.SchemeParams.from_final_time(c=1, eps_u=0.5, eps_v=0, alpha=1, k=0.1, T=1.0)
+    lp = en.LyapunovParams(2.0, 0.125)
+    states = []
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=states.append)
+    tracker = en.EnergyTracker(mass, stiff, p, lp)
+    for state in states:
+        tracker(state)
+    assert tracker.lyapunov_values == [en.lyapunov(s, mass, stiff, p, lp) for s in states]
 
 
 def synthetic_records(energies, dt=0.1):

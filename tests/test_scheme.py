@@ -85,7 +85,7 @@ def test_step_matches_two_by_two_cramer_solve():
 def test_zero_state_stays_zero():
     m = msh.generate_unit_square(3)
     p = params_for(k=0.1, T=0.5)
-    final = scheme.run(m, *matrices(m), p, scheme.initial_preset("zero", 2))
+    final = scheme.run(m, *matrices(m), p, scheme.initial_preset("zero"))
     assert (final.u_curr == 0.0).all()
     assert (final.v_curr == 0.0).all()
     assert final.n == p.M_steps
@@ -96,7 +96,7 @@ def test_exchange_symmetry_of_fields():
     m = msh.generate_unit_square(4)
     fwd = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.125)
     bwd = params_for(k=0.05, T=0.5, eps_u=0.125, eps_v=0.5)
-    mode, zero, anti, _ = scheme.initial_preset("sine-opposed", 2)
+    mode, zero, anti, _ = scheme.initial_preset("sine-opposed")
     a = scheme.run(m, *matrices(m), fwd, (mode, zero, anti, zero))
     b = scheme.run(m, *matrices(m), bwd, (anti, zero, mode, zero))
     scale = np.abs(a.u_curr).max()
@@ -109,7 +109,7 @@ def test_identical_fields_stay_identical():
     # both fields follow the same decoupled wave equation
     m = msh.generate_unit_interval(8)
     p = params_for(k=0.05, T=0.5, eps_u=0.25, eps_v=0.25, alpha=3.0)
-    mode, zero, _, _ = scheme.initial_preset("sine", 1)
+    mode, zero, _, _ = scheme.initial_preset("sine")
     final = scheme.run(m, *matrices(m), p, (mode, zero, mode, zero))
     scale = np.abs(final.u_curr).max()
     assert np.abs(final.u_curr - final.v_curr).max() < 1e-12 * scale
@@ -120,7 +120,7 @@ def test_step_is_deterministic():
     p = params_for(k=0.1, T=1.0, eps_u=0.5)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
     op = scheme.BlockOperator(mass, stiff, p)
-    state = scheme.initialize(m, p, *scheme.initial_preset("sine", 2))
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
     a = scheme.step(state, op, mass, p)
     b = scheme.step(state, op, mass, p)
     np.testing.assert_array_equal(a.u_curr, b.u_curr)
@@ -131,7 +131,7 @@ def test_run_observer_sees_every_level():
     m = msh.generate_unit_interval(6)
     p = params_for(k=0.1, T=1.0)
     seen = []
-    scheme.run(m, *matrices(m), p, scheme.initial_preset("sine", 1),
+    scheme.run(m, *matrices(m), p, scheme.initial_preset("sine"),
                observer=lambda s: seen.append(s.n))
     assert seen == list(range(1, p.M_steps + 1))
 
@@ -141,7 +141,7 @@ def test_run_reports_failing_step():
     p = params_for(k=0.001, T=0.01)
     cfg = SolverConfig(rel_tol=1e-14, max_iter=1)
     with pytest.raises(SolverFailure, match="advancing to level 2"):
-        scheme.run(m, *matrices(m), p, scheme.initial_preset("sine", 2), config=cfg)
+        scheme.run(m, *matrices(m), p, scheme.initial_preset("sine"), config=cfg)
 
 
 def test_sources_receive_target_time():
@@ -153,20 +153,20 @@ def test_sources_receive_target_time():
         times.append(t)
         return None, None
 
-    scheme.run(m, *matrices(m), p, scheme.initial_preset("zero", 1), sources=sources)
+    scheme.run(m, *matrices(m), p, scheme.initial_preset("zero"), sources=sources)
     np.testing.assert_allclose(times, [0.5, 0.75, 1.0])
 
 
 def test_initial_preset_names():
     for name in ("zero", "sine", "sine-opposed"):
-        fields = scheme.initial_preset(name, 2)
+        fields = scheme.initial_preset(name)
         assert len(fields) == 4
     with pytest.raises(ValueError, match="unknown initial preset"):
-        scheme.initial_preset("gaussian", 2)
-    mode = scheme.initial_preset("sine", 1)[0]
+        scheme.initial_preset("gaussian")
+    mode = scheme.initial_preset("sine")[0]
     np.testing.assert_allclose(
         mode(np.array([[0.0], [0.5], [1.0]])), [0.0, 1.0, 0.0], atol=1e-15
     )
-    opposed = scheme.initial_preset("sine-opposed", 2)
+    opposed = scheme.initial_preset("sine-opposed")
     pts = np.array([[0.25, 0.75]])
     assert opposed[2](pts) == -opposed[0](pts)

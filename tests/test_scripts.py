@@ -17,7 +17,6 @@ def load_script(name):
     "name,argv,expected",
     [
         ("decay_study", ["--n", "4", "--k", "0.05", "--T", "1", "--eps", "0.5"], "gamma"),
-        ("energy_audit", ["--n", "4", "--k", "0.05", "--T", "0.5"], "monotone decay: True"),
     ],
 )
 def test_script_runs_on_small_mesh(name, argv, expected, capsys):
