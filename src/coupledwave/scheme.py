@@ -1,22 +1,34 @@
 """Implicit two-level stepping for the coupled damped wave system.
 
-Both fields advance together through one monolithic solve per step.  With
-mass matrix M and stiffness matrix K on the interior vertices, the update to
-level n+1 satisfies
+With mass matrix M and stiffness matrix K on the interior vertices, the
+update to level n+1 satisfies
 
     M (u'' diff) / k^2 + c^2 K u_new + (eps_u / k) M (u_new - u_cur)
         + alpha M (u_new - v_new) = f_u
 
 and the v equation with the roles swapped, where ``u'' diff`` is the centered
 second difference u_new - 2 u_cur + u_old.  Collecting the new levels gives a
-symmetric positive definite 2N x 2N block matrix that is assembled once per
-run; the off-diagonal blocks are -alpha M.
+symmetric positive definite 2N x 2N block matrix whose off-diagonal blocks
+are -alpha M.  Damping and coupling both enter as multiples of M, so the
+matrix factors exactly as
+
+    kron(Q, I) blockdiag(D + lam_1 M, D + lam_2 M) kron(Q, I)^T,
+    D = (1/k^2 + alpha) M + c^2 K,
+
+where Q diag(lam) Q^T is the eigendecomposition of the 2 x 2 matrix
+[[eps_u/k, -alpha], [-alpha, eps_v/k]].  A CG step rotates the right-hand
+side per vertex, solves both N x N blocks in one Jacobi-PCG started from the
+extrapolated level 2 x_n - x_{n-1}, and rotates the solution back.  Q is
+orthogonal, so the stopping rule ||b - A x|| <= rel_tol ||b|| holds on the
+coupled system as well.  ``method = cholesky`` solves the coupled matrix
+itself, which keeps the check path independent of the rotation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -103,27 +115,51 @@ class State:
 
 
 class BlockOperator:
-    """The 2N x 2N implicit-step matrix, assembled once and reused.
+    """The implicit-step matrix, built once per run in its decoupled form.
 
-    Layout is [u; v].  Diagonal blocks are M/k^2 + eps/k M + c^2 K + alpha M,
-    off-diagonal blocks are -alpha M, so the matrix is exactly symmetric and
-    positive definite for alpha > 0 (the coupling contributes
-    alpha (x_u - x_v)' M (x_u - x_v) >= 0 to the quadratic form).
+    Layout is [u; v].  The coupled matrix ``matrix`` has diagonal blocks
+    M/k^2 + eps/k M + c^2 K + alpha M and off-diagonal blocks -alpha M, so it
+    is exactly symmetric and positive definite for alpha > 0 (the coupling
+    contributes alpha (x_u - x_v)' M (x_u - x_v) >= 0 to the quadratic form).
+    It equals kron(Q, I) decoupled kron(Q, I)^T, where ``rotation`` is the
+    orthogonal Q of [[eps_u/k, -alpha], [-alpha, eps_v/k]] = Q diag(lam) Q^T
+    and ``decoupled`` is blockdiag(D + lam_1 M, D + lam_2 M) with
+    D = (1/k^2 + alpha) M + c^2 K.  Each block is SPD: the 2 x 2 matrix has a
+    nonnegative diagonal, so lam_min >= -alpha and every block multiplies M by
+    1/k^2 + alpha + lam_i >= 1/k^2.
+
+    ``decoupled`` holds 2 nnz(M) entries against the coupled matrix's
+    4 nnz(M).  The coupled matrix is built on first access only; the CG path
+    never touches it.
     """
 
     def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams):
+        k, alpha = params.k, params.alpha
+        damping = np.array([[params.eps_u / k, -alpha], [-alpha, params.eps_v / k]])
+        lam, self.rotation = np.linalg.eigh(damping)
+        # c^2 K can overflow on a fine mesh although c^2 itself is finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            shared = (1.0 / k**2 + alpha) * mass + params.c**2 * stiffness
+            self.decoupled = sp.block_diag([shared + lam_i * mass for lam_i in lam], format="csr")
+        if not np.isfinite(self.decoupled.data).all():
+            raise ValueError(f"c = {params.c!r} is out of range: the step matrix "
+                             f"(1/k^2 + alpha) M + c^2 K is not finite on this mesh")
+        self._parts = (mass, stiffness, params)
+        self.n_field = mass.shape[0]
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The coupled 2N x 2N matrix, for ``method = cholesky`` and checks."""
+        mass, stiffness, params = self._parts
         k, c, alpha = params.k, params.c, params.alpha
         diag_u = mass / k**2 + (params.eps_u / k) * mass + c**2 * stiffness + alpha * mass
         diag_v = mass / k**2 + (params.eps_v / k) * mass + c**2 * stiffness + alpha * mass
         coupling = -alpha * mass
-        self.matrix = sp.bmat(
-            [[diag_u, coupling], [coupling, diag_v]], format="csr"
-        )
-        self.n_field = mass.shape[0]
+        return sp.bmat([[diag_u, coupling], [coupling, diag_v]], format="csr")
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return self.decoupled.shape
 
 
 def initialize(mesh: Mesh, params: SchemeParams, u0, u1, v0, v1) -> State:
@@ -148,21 +184,36 @@ def step(
     f_u: np.ndarray | None = None,
     f_v: np.ndarray | None = None,
 ) -> State:
-    """Advance one time level by solving the coupled block system.
+    """Advance one time level.
 
-    f_u, f_v are already-assembled load vectors for the target level (or
-    None for the homogeneous problem).
+    CG solves the decoupled system, warm-started from the extrapolation
+    2 x_n - x_{n-1}; ``method = cholesky`` solves the coupled matrix.  f_u,
+    f_v are already-assembled load vectors for the target level (or None for
+    the homogeneous problem).
     """
     k = params.k
-    rhs_u = mass @ ((2.0 * state.u_curr - state.u_prev) / k**2 + (params.eps_u / k) * state.u_curr)
-    rhs_v = mass @ ((2.0 * state.v_curr - state.v_prev) / k**2 + (params.eps_v / k) * state.v_curr)
+    guess_u = 2.0 * state.u_curr - state.u_prev
+    guess_v = 2.0 * state.v_curr - state.v_prev
+    rhs_u = mass @ (guess_u / k**2 + (params.eps_u / k) * state.u_curr)
+    rhs_v = mass @ (guess_v / k**2 + (params.eps_v / k) * state.v_curr)
     if f_u is not None:
         rhs_u = rhs_u + f_u
     if f_v is not None:
         rhs_v = rhs_v + f_v
-    solution = solve_spd(op.matrix, np.concatenate([rhs_u, rhs_v]), config)
     n = op.n_field
-    return State(state.n + 1, state.u_curr, solution[:n], state.v_curr, solution[n:])
+    if config is not None and config.method == "cholesky":
+        solution = solve_spd(op.matrix, np.concatenate([rhs_u, rhs_v]), config)
+        return State(state.n + 1, state.u_curr, solution[:n], state.v_curr, solution[n:])
+    q = op.rotation
+    rotated = solve_spd(op.decoupled, np.concatenate(_rotate(q.T, rhs_u, rhs_v)), config,
+                        x0=np.concatenate(_rotate(q.T, guess_u, guess_v)))
+    u_new, v_new = _rotate(q, rotated[:n], rotated[n:])
+    return State(state.n + 1, state.u_curr, u_new, state.v_curr, v_new)
+
+
+def _rotate(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Apply the 2 x 2 matrix q to every vertex pair (a_i, b_i)."""
+    return q[0, 0] * a + q[0, 1] * b, q[1, 0] * a + q[1, 1] * b
 
 
 def run(

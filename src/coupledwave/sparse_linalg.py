@@ -2,13 +2,14 @@
 
 Two independent routes are kept on purpose: a hand-written Jacobi
 preconditioned conjugate gradient (the production path, matrix-free except
-for the diagonal) and a dense Cholesky factorization via scipy (the check
-path).  Tests compare them against each other, so neither should be folded
-into the other.
+for the diagonal, started from the caller's guess or from zero) and a dense
+Cholesky factorization via scipy (the check path).  Tests compare them
+against each other, so neither should be folded into the other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,18 @@ def residual_norm(A, x: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(b - A @ x))
 
 
-def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None) -> np.ndarray:
+def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None,
+              x0: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
     Stops when ||b - A x|| <= rel_tol * ||b||.  A zero right-hand side
-    returns the exact zero vector without iterating.
+    returns the exact zero vector without iterating.  CG starts from x0
+    when given (zero otherwise); the Cholesky route ignores it.
 
     Raises
     ------
     ValueError
-        On shape mismatch.
+        On shape mismatch, or when b, x0 or the diagonal of A is not finite.
     SolverFailure
         When CG exceeds its iteration budget (carries the last residual).
     """
@@ -70,32 +73,46 @@ def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None) -> np.ndarra
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
     if not b.any():
         return np.zeros(n)
+    if not np.isfinite(b).all():
+        raise ValueError("the right-hand side is not finite (an input or source overflowed)")
+    if x0 is not None and not np.isfinite(x0).all():
+        raise ValueError("the initial guess is not finite")
     if config.method == "cholesky":
         dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+        _check_diagonal(np.diagonal(dense))
         factor = scipy.linalg.cho_factor(dense, lower=True)
         return scipy.linalg.cho_solve(factor, b)
-    x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n)
+    x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0)
     return x
 
 
-def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int):
-    """Jacobi preconditioned conjugate gradient from the zero start.
+def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | None = None):
+    """Jacobi preconditioned conjugate gradient from x0 (zero when omitted).
 
-    Returns (x, iterations, residual_norm).  The preconditioner is the
-    inverse diagonal, which is safe because assembled mass/stiffness
+    Returns (x, iterations, residual_norm); a start whose residual already
+    meets rel_tol * ||b|| returns after 0 iterations.  The preconditioner is
+    the inverse diagonal, which is safe because assembled mass/stiffness
     combinations have strictly positive diagonals.
     """
     diag = A.diagonal() if sp.issparse(A) else np.diagonal(A)
+    _check_diagonal(diag)
     if (diag <= 0.0).any():
         raise SolverFailure("matrix has a nonpositive diagonal entry", np.inf, 0)
+    inv_diag = 1.0 / diag
 
-    target = rel_tol * float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = r / diag
+    target = rel_tol * math.sqrt(b @ b)
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A @ x
+    res = math.sqrt(r @ r)
+    if res <= target:
+        return x, 0, res
+    z = r * inv_diag
     p = z.copy()
     rz = float(r @ z)
-    res = float(np.linalg.norm(r))
     for it in range(1, max_iter + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
@@ -108,12 +125,13 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(r @ r)
         if res <= target:
             return x, it, res
-        z = r / diag
+        np.multiply(r, inv_diag, out=z)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise SolverFailure(
         f"conjugate gradient did not reach {rel_tol:g} relative residual "
@@ -121,3 +139,8 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int):
         res,
         max_iter,
     )
+
+
+def _check_diagonal(diag: np.ndarray) -> None:
+    if not np.isfinite(diag).all():
+        raise ValueError("the matrix diagonal is not finite")

@@ -319,6 +319,32 @@ def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        # c^2 K overflows on the 1000-cell interval although c^2 is finite
+        ("mode = simulate\ndomain = interval\nn_per_side = 1000\nc = 1.3e154\n"
+         "initial = sine\n", "c = 1.3e+154 is out of range"),
+        # the same on the finer levels of a convergence study
+        ("mode = convergence\ndomain = interval\ncase = separable-decay-1d\nc = 1e154\n"
+         "k = 0.1\nT = 0.2\nlevels = 3\n", "c = 1e+154 is out of range"),
+        # c^2 K is finite on n = 4, but the manufactured source overflows
+        ("mode = convergence\ndomain = interval\nn_per_side = 4\n"
+         "case = separable-decay-1d\nc = 4e153\nk = 0.1\nT = 0.2\nlevels = 3\n",
+         "right-hand side is not finite"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the overflowed source
+def test_exit_code_overflow_in_step_system(tmp_path, capsys, text, fragment):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    code = run_cli(["--config", cfg, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert fragment in err and "Traceback" not in err and "solver failed" not in err
+    assert not out.exists()
+
+
 def test_exit_code_missing_mesh_file(tmp_path, capsys):
     cfg = write_config(tmp_path, "mode = simulate\ndomain = file:/nope/none.mesh\n")
     assert run_cli(["--config", cfg]) == 3

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from coupledwave import assembly as asm
 from coupledwave import mesh as msh
 from coupledwave import scheme
-from coupledwave.sparse_linalg import SolverConfig, SolverFailure
+from coupledwave.sparse_linalg import SolverConfig, SolverFailure, residual_norm
+
+# criterion 6's damping grid plus equal nonzero damping
+DAMPINGS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.25), (0.5, 0.5))
 
 
 def params_for(k=0.1, T=1.0, **kw):
@@ -46,6 +50,88 @@ def test_block_operator_exactly_symmetric_and_positive(rng):
     for _ in range(100):
         x = rng.standard_normal(A.shape[0])
         assert x @ (A @ x) > 0.0
+
+
+@pytest.mark.parametrize("eps_u,eps_v", DAMPINGS)
+def test_rotated_decoupled_matrix_equals_coupled_matrix(rng, eps_u, eps_v):
+    m = msh.generate_unit_square(8)
+    mass, stiff = matrices(m)
+    op = scheme.BlockOperator(mass, stiff, params_for(k=0.01, T=2.0, eps_u=eps_u, eps_v=eps_v))
+    rotate = sp.kron(op.rotation, sp.identity(mass.shape[0]), format="csr")
+    for _ in range(10):
+        x = rng.standard_normal(op.matrix.shape[0])
+        want = op.matrix @ x
+        got = rotate @ (op.decoupled @ (rotate.T @ x))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("eps_u,eps_v", DAMPINGS)
+def test_decoupled_blocks_symmetric_with_positive_diagonal(eps_u, eps_v):
+    m = msh.generate_unit_square(8)
+    mass, stiff = matrices(m)
+    op = scheme.BlockOperator(mass, stiff, params_for(k=0.01, T=2.0, eps_u=eps_u, eps_v=eps_v))
+    n = mass.shape[0]
+    assert op.decoupled[:n, n:].nnz == 0 and op.decoupled[n:, :n].nnz == 0
+    for block in (op.decoupled[:n, :n], op.decoupled[n:, n:]):
+        assert (block - block.T).nnz == 0
+        assert (block.diagonal() > 0.0).all()
+
+
+def test_block_operator_rejects_overflowing_stiffness():
+    # c^2 is finite, but c^2 K is not on a fine 1D mesh
+    m = msh.generate_unit_interval(1000)
+    p = params_for(c=1.3e154, k=0.01, T=0.1)
+    with pytest.raises(ValueError, match=r"^c = 1.3e\+154 .*not finite"):
+        scheme.BlockOperator(*matrices(m), p)
+
+
+def test_warm_started_step_meets_rule_on_coupled_matrix():
+    m = msh.generate_unit_square(6)
+    p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
+    mass, stiff = matrices(m)
+    op = scheme.BlockOperator(mass, stiff, p)
+    cfg = SolverConfig(rel_tol=1e-8)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
+    for _ in range(4):
+        new = scheme.step(state, op, mass, p, cfg)
+        b = np.concatenate([
+            mass @ ((2.0 * s_curr - s_prev) / p.k**2 + (eps / p.k) * s_curr)
+            for s_prev, s_curr, eps in ((state.u_prev, state.u_curr, p.eps_u),
+                                        (state.v_prev, state.v_curr, p.eps_v))
+        ])
+        x = np.concatenate([new.u_curr, new.v_curr])
+        assert residual_norm(op.matrix, x, b) <= 1e-8 * np.linalg.norm(b)
+        state = new
+
+
+def test_cg_and_cholesky_steps_agree():
+    m = msh.generate_unit_square(6)
+    p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
+    mass, stiff = matrices(m)
+    op = scheme.BlockOperator(mass, stiff, p)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
+    cg = scheme.step(state, op, mass, p, SolverConfig(rel_tol=1e-14))
+    chol = scheme.step(state, op, mass, p, SolverConfig(method="cholesky"))
+    scale = max(np.abs(chol.u_curr).max(), np.abs(chol.v_curr).max())
+    assert np.abs(cg.u_curr - chol.u_curr).max() <= 1e-10 * scale
+    assert np.abs(cg.v_curr - chol.v_curr).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("method,coupled_built", [("cg", False), ("cholesky", True)])
+def test_only_cholesky_builds_coupled_matrix(monkeypatch, method, coupled_built):
+    built = []
+    make = scheme.BlockOperator
+
+    def capture(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(scheme, "BlockOperator", capture)
+    m = msh.generate_unit_square(4)
+    scheme.run(m, *matrices(m), params_for(k=0.1, T=0.5, eps_u=0.5),
+               scheme.initial_preset("sine"), config=SolverConfig(method=method))
+    assert len(built) == 1
+    assert ("matrix" in built[0].__dict__) is coupled_built
 
 
 def test_initialize_startup_levels():

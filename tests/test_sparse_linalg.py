@@ -119,6 +119,56 @@ def test_indefinite_matrix_detected():
         solve_spd(A, b)
 
 
+def test_cg_from_exact_solution_takes_no_iterations():
+    m = msh.generate_unit_square(6)
+    A = asm.assemble_stiffness(m) + asm.assemble_mass(m)
+    x_exact = solve_spd(A, np.ones(A.shape[0]), SolverConfig(method="cholesky"))
+    b = A @ x_exact
+    guess = x_exact.copy()
+    x, iters, res = cg_jacobi(A, b, 1e-12, 100, x0=guess)
+    assert iters == 0
+    assert res <= 1e-12 * np.linalg.norm(b)
+    np.testing.assert_array_equal(x, x_exact)
+    x[0] += 1.0
+    np.testing.assert_array_equal(guess, x_exact)  # the guess is not written to
+
+
+def test_warm_start_reaches_the_same_rule():
+    m = msh.generate_unit_square(6)
+    A = asm.assemble_stiffness(m) + asm.assemble_mass(m)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(A.shape[0])
+    x0 = rng.standard_normal(A.shape[0])
+    x = solve_spd(A, b, SolverConfig(rel_tol=1e-10), x0=x0)
+    assert residual_norm(A, x, b) <= 1e-10 * np.linalg.norm(b)
+    # Cholesky ignores the guess
+    x_ch = solve_spd(A, b, SolverConfig(method="cholesky"), x0=x0)
+    np.testing.assert_array_equal(x_ch, solve_spd(A, b, SolverConfig(method="cholesky")))
+
+
+@pytest.mark.parametrize("bad", ["rhs", "x0", "diagonal"])
+@pytest.mark.parametrize("method", ["cg", "cholesky"])
+def test_non_finite_input_is_a_value_error(bad, method):
+    m = msh.generate_unit_square(4)
+    A = (asm.assemble_stiffness(m) + asm.assemble_mass(m)).tolil()
+    b = np.ones(A.shape[0])
+    x0 = np.zeros(A.shape[0])
+    if bad == "rhs":
+        b[3] = np.nan
+    elif bad == "x0":
+        x0[3] = np.inf
+    else:
+        A[3, 3] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        solve_spd(A.tocsr(), b, SolverConfig(method=method), x0=x0)
+
+
+def test_zero_rhs_shortcut_comes_first():
+    A = np.diag([1.0, np.inf])
+    x = solve_spd(A, np.zeros(2), x0=np.array([np.nan, 1.0]))
+    assert (x == 0.0).all()
+
+
 def test_residual_norm_definition():
     A = np.array([[2.0, 0.0], [0.0, 3.0]])
     x = np.array([1.0, 1.0])
