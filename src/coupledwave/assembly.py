@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, interior_dof_map
+from .mesh import Mesh, interior_dof_map, signed_measures
 
 
 class AssemblyError(ValueError):
@@ -56,12 +56,7 @@ def element_stiffness(coords: np.ndarray) -> np.ndarray:
 
 
 def _cell_measure(coords: np.ndarray) -> np.ndarray:
-    if coords.shape[-2] == 2:
-        measure = coords[..., 1, 0] - coords[..., 0, 0]
-    else:
-        d1 = coords[..., 1, :] - coords[..., 0, :]
-        d2 = coords[..., 2, :] - coords[..., 0, :]
-        measure = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    measure = signed_measures(coords)
     bad = np.flatnonzero(measure <= 0.0)
     if bad.size:
         first = np.ravel(measure)[bad[0]]

@@ -11,6 +11,7 @@ counterclockwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -88,14 +89,21 @@ def cell_diameters(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return diam
 
 
+def signed_measures(coords: np.ndarray) -> np.ndarray:
+    """Signed length (1d) or signed area (2d) of a stack of cells.
+
+    ``coords`` has shape (..., dim + 1, dim); the result has shape (...).
+    """
+    if coords.shape[-2] == 2:
+        return coords[..., 1, 0] - coords[..., 0, 0]
+    d1 = coords[..., 1, :] - coords[..., 0, :]
+    d2 = coords[..., 2, :] - coords[..., 0, :]
+    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+
+
 def cell_measures(mesh: Mesh) -> np.ndarray:
     """Signed length (1d) or signed area (2d) of every cell."""
-    coords = mesh.vertices[mesh.cells]
-    if mesh.dim == 1:
-        return coords[:, 1, 0] - coords[:, 0, 0]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return signed_measures(mesh.vertices[mesh.cells])
 
 
 def shape_ratios(mesh: Mesh) -> np.ndarray:
@@ -147,23 +155,18 @@ def generate_unit_square(n_per_side: int) -> Mesh:
     xx, yy = np.meshgrid(side, side)  # row j is y = j/n
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ur, ul = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((ll, lr, ur))
-            cells.append((ll, ur, ul))
+    # lower-left corner of square (i, j) in row-major order; (ll, lr, ur) and
+    # (ll, ur, ul) are its two triangles
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
+    cells = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
     flags = (
         (vertices[:, 0] == 0.0)
         | (vertices[:, 0] == 1.0)
         | (vertices[:, 1] == 0.0)
         | (vertices[:, 1] == 1.0)
     )
-    return _make_mesh(2, vertices, np.asarray(cells), flags)
+    return _make_mesh(2, vertices, cells, flags)
 
 
 def _edge_table(cells: np.ndarray, n_vertices: int) -> tuple:
@@ -254,8 +257,7 @@ def validate(mesh: Mesh, shape_limit: float = SHAPE_REGULARITY_LIMIT) -> None:
         raise MeshError("boundary flag array does not match vertex count")
     if mesh.n_cells == 0:
         raise MeshError("mesh has no cells")
-    if mesh.cells.min() < 0 or mesh.cells.max() >= mesh.n_vertices:
-        raise MeshError("cell refers to a vertex that does not exist")
+    _check_indices(mesh.cells, mesh.n_vertices)
     repeated = np.flatnonzero((np.diff(np.sort(mesh.cells, axis=1), axis=1) == 0).any(axis=1))
     if repeated.size:
         cell = mesh.cells[repeated[0]].tolist()
@@ -278,6 +280,11 @@ def validate(mesh: Mesh, shape_limit: float = SHAPE_REGULARITY_LIMIT) -> None:
 
     if not mesh.boundary_flags.any():
         raise MeshError("no boundary vertices flagged; homogeneous Dirichlet needs a boundary")
+
+
+def _check_indices(cells: np.ndarray, n_vertices: int) -> None:
+    if cells.min() < 0 or cells.max() >= n_vertices:
+        raise MeshError(f"cell refers to a vertex that does not exist ({n_vertices} vertices)")
 
 
 def _validate_1d(mesh: Mesh, measures: np.ndarray) -> None:
@@ -341,44 +348,46 @@ def write_mesh(mesh: Mesh, path) -> None:
 def read_mesh(path) -> Mesh:
     """Read the plain-text mesh format and validate the result.
 
-    Cells with negative orientation are flipped rather than rejected.
+    The header, the token counts, the numbers and the vertex indices are
+    checked before any geometry is computed.  Cells with negative orientation
+    are flipped rather than rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        tokens_per_line = [line.split() for line in fh]
-
-    lines = [t for t in tokens_per_line if t]
+        lines = [tokens for tokens in map(str.split, fh) if tokens]
     if not lines:
         raise MeshError(f"{path}: empty mesh file")
-    header = lines[0]
-    if len(header) != 3:
-        raise MeshError(f"{path}: header must be 'dim n_vertices n_cells'")
     try:
-        dim, nv, nc = (int(t) for t in header)
-    except ValueError as exc:
-        raise MeshError(f"{path}: bad header {' '.join(header)!r}") from exc
+        dim, nv, nc = map(int, lines[0])
+    except ValueError:
+        raise MeshError(f"{path}: header must be 'dim n_vertices n_cells', "
+                        f"got {' '.join(lines[0])!r}") from None
+    if dim not in (1, 2) or nv < 1 or nc < 1:
+        raise MeshError(f"{path}: header needs dimension 1 or 2 and positive counts, "
+                        f"got {dim} {nv} {nc}")
     if len(lines) != 1 + nv + nc:
         raise MeshError(f"{path}: expected {1 + nv + nc} lines, found {len(lines)}")
+    for kind, block, need in (("vertex", lines[1 : 1 + nv], f"{dim} coordinates and a flag"),
+                              ("cell", lines[1 + nv :], f"{dim + 1} vertex indices")):
+        bad = np.flatnonzero(np.fromiter(map(len, block), int, len(block)) != dim + 1)
+        if bad.size:
+            raise MeshError(f"{path}: {kind} line {bad[0]} needs {need}")
 
-    vertices = np.zeros((nv, dim))
-    flags = np.zeros(nv, dtype=bool)
-    for i, tok in enumerate(lines[1 : 1 + nv]):
-        if len(tok) != dim + 1:
-            raise MeshError(f"{path}: vertex line {i} needs {dim} coordinates and a flag")
-        vertices[i] = [float(t) for t in tok[:dim]]
-        flags[i] = bool(int(tok[dim]))
-
-    cells = np.zeros((nc, dim + 1), dtype=np.int64)
-    for i, tok in enumerate(lines[1 + nv :]):
-        if len(tok) != dim + 1:
-            raise MeshError(f"{path}: cell line {i} needs {dim + 1} vertex indices")
-        cells[i] = [int(t) for t in tok]
-
+    coords = list(chain.from_iterable(lines[1 : 1 + nv]))
+    flags = _numbers(path, coords[dim :: dim + 1], int, "boundary flag") != 0
+    del coords[dim :: dim + 1]
+    vertices = _numbers(path, coords, float, "vertex coordinate").reshape(nv, dim)
+    cells = _numbers(path, chain.from_iterable(lines[1 + nv :]), int, "vertex index")
+    cells = cells.reshape(nc, dim + 1)
+    _check_indices(cells, nv)
+    flip = signed_measures(vertices[cells]) < 0
+    cells[flip, -2:] = cells[flip][:, [-1, -2]]
     mesh = _make_mesh(dim, vertices, cells, flags)
-    measures = cell_measures(mesh)
-    if (measures < 0).any():
-        fixed = cells.copy()
-        flip = measures < 0
-        fixed[flip, -2], fixed[flip, -1] = cells[flip, -1], cells[flip, -2]
-        mesh = _make_mesh(dim, vertices, fixed, flags)
     validate(mesh)
     return mesh
+
+
+def _numbers(path, tokens, kind, what: str) -> np.ndarray:
+    try:
+        return np.fromiter(map(kind, tokens), dtype=kind)
+    except (ValueError, OverflowError) as exc:
+        raise MeshError(f"{path}: bad {what}: {exc}") from None

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from coupledwave import mesh as msh
 from coupledwave.cli import ENERGY_HEADER, TABLE_HEADER, run_cli
 from coupledwave.config import ConfigError, RunConfig, parse_config, render_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # --- config parsing ---------------------------------------------------------
@@ -47,6 +51,12 @@ OWNER_ERRORS = [
     ("mode = simulate\nT = -1\n", "final time", 2),
     ("mode = simulate\ninitial = gaussian\n", "unknown initial preset", 2),
     ("mode = convergence\ncase = ripple\n", "unknown manufactured case", 2),
+    # c^2 is finite, but the manufactured source coefficient 2 (1 + pi^2 c^2) is not
+    ("mode = convergence\ndomain = interval\nn_per_side = 4\ncase = separable-decay-1d\n"
+     "c = 4e153\nk = 0.1\nT = 0.2\nlevels = 3\n", "c = 4e\\+153 is out of range", 5),
+    ("mode = convergence\nk = 1\nT = 1\neps_v = 1e308\n", "eps_v = 1e\\+308 is out of range", 4),
+    ("mode = convergence\nk = 1\nT = 1\neps_u = 1.7e308\nalpha = 1e308\n",
+     "eps_u = 1.7e\\+308 is out of range", 4),
 ]
 
 
@@ -325,16 +335,11 @@ def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
         # c^2 K overflows on the 1000-cell interval although c^2 is finite
         ("mode = simulate\ndomain = interval\nn_per_side = 1000\nc = 1.3e154\n"
          "initial = sine\n", "c = 1.3e+154 is out of range"),
-        # the same on the finer levels of a convergence study
+        # a convergence study with the same c fails earlier, on its manufactured source
         ("mode = convergence\ndomain = interval\ncase = separable-decay-1d\nc = 1e154\n"
          "k = 0.1\nT = 0.2\nlevels = 3\n", "c = 1e+154 is out of range"),
-        # c^2 K is finite on n = 4, but the manufactured source overflows
-        ("mode = convergence\ndomain = interval\nn_per_side = 4\n"
-         "case = separable-decay-1d\nc = 4e153\nk = 0.1\nT = 0.2\nlevels = 3\n",
-         "right-hand side is not finite"),
     ],
 )
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the overflowed source
 def test_exit_code_overflow_in_step_system(tmp_path, capsys, text, fragment):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "o"
@@ -351,12 +356,37 @@ def test_exit_code_missing_mesh_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_code_bad_mesh_file(tmp_path, capsys):
+VERTICES = "0 0 1\n1 0 1\n1 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("2 3 1\n" + VERTICES + "0 1 1\n", "repeated vertex"),
+        ("2 3 1\n" + VERTICES + "1 7\n", "cell line 0 needs 3 vertex indices"),
+        ("2 3 1\n" + VERTICES + "1 7 2\n", "vertex that does not exist (3 vertices)"),
+        ("2 3 1\n" + VERTICES + "0 -1 2\n", "refers to a vertex that does not exist"),
+        ("2 3\n" + VERTICES + "0 1 2\n", "header must be 'dim n_vertices n_cells'"),
+        ("0 3 1\n0\n1\n1\n0\n", "dimension 1 or 2 and positive counts"),
+        ("3 3 1\n0 0 0 1\n1 0 0 1\n1 1 0 1\n0 1 2 0\n", "dimension 1 or 2 and positive counts"),
+        ("2 -3 1\n" + VERTICES + "0 1 2\n", "dimension 1 or 2 and positive counts"),
+        ("2 3 0\n" + VERTICES, "dimension 1 or 2 and positive counts"),
+        ("2 3 1\n0 0 0.5\n1 0 1\n1 1 1\n0 1 2\n", "bad boundary flag"),
+        ("2 3 1\n0 0 1\n1 1\n1 1 1\n0 1 2\n", "vertex line 1 needs 2 coordinates and a flag"),
+        ("2 3 1\n0 zero 1\n1 0 1\n1 1 1\n0 1 2\n", "bad vertex coordinate"),
+        ("2 3 1\n" + VERTICES + "0 1 x\n", "bad vertex index"),
+    ],
+    ids=["repeated-vertex", "cell-width", "index-too-large", "index-negative", "short-header",
+         "dim-0", "dim-3", "negative-count", "no-cells", "fractional-flag", "vertex-width",
+         "bad-coordinate", "bad-index"],
+)
+def test_exit_code_bad_mesh_file(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.mesh"
-    bad.write_text("2 3 1\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n")  # repeated vertex in cell
+    bad.write_text(text)
     cfg = write_config(tmp_path, f"mode = simulate\ndomain = file:{bad}\n")
     assert run_cli(["--config", cfg]) == 1
-    assert "repeated vertex" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
 
 
 def test_exit_code_solver_failure(tmp_path, capsys):
@@ -376,11 +406,14 @@ def test_exit_code_empty_system(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, "mode = simulate\nn_per_side = 3\nk = 0.1\nT = 0.3\n")
+    # the child process imports the package from this checkout, installed or not
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "coupledwave", "--config", cfg,
          "--out-dir", str(tmp_path / "o"), "--quiet"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "energy.csv").exists()

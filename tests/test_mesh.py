@@ -48,6 +48,22 @@ def test_interval_shape_ratio_is_one():
     np.testing.assert_array_equal(msh.shape_ratios(m), np.ones(7))
 
 
+@pytest.mark.parametrize(
+    "n,cells",
+    [
+        (1, [[0, 1, 3], [0, 3, 2]]),
+        (2, [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+             [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]),
+        (3, [[0, 1, 5], [0, 5, 4], [1, 2, 6], [1, 6, 5], [2, 3, 7], [2, 7, 6],
+             [4, 5, 9], [4, 9, 8], [5, 6, 10], [5, 10, 9], [6, 7, 11], [6, 11, 10],
+             [8, 9, 13], [8, 13, 12], [9, 10, 14], [9, 14, 13], [10, 11, 15], [10, 15, 14]]),
+    ],
+)
+def test_unit_square_cells_pinned(n, cells):
+    # squares row by row from y = 0, each split into (ll, lr, ur) and (ll, ur, ul)
+    np.testing.assert_array_equal(msh.generate_unit_square(n).cells, cells)
+
+
 def test_refine_square_counts():
     m = msh.generate_unit_square(1)
     r = msh.refine_uniform(m)
@@ -205,6 +221,22 @@ def test_read_mesh_fixes_orientation(tmp_path):
     back = msh.read_mesh(path)
     assert (msh.cell_measures(back) > 0).all()
     np.testing.assert_array_equal(back.vertices, m.vertices)
+
+
+def test_read_mesh_flips_before_building_its_one_mesh(tmp_path, monkeypatch):
+    built = []
+    make_mesh = msh._make_mesh
+
+    def recording_make_mesh(*args):
+        built.append(make_mesh(*args))
+        return built[-1]
+
+    monkeypatch.setattr(msh, "_make_mesh", recording_make_mesh)
+    path = tmp_path / "twist.mesh"
+    path.write_text("2 4 2\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0 1 2\n0 3 2\n")  # second cell clockwise
+    back = msh.read_mesh(path)
+    assert len(built) == 1 and built[0] is back
+    np.testing.assert_array_equal(back.cells, [[0, 1, 2], [0, 2, 3]])
 
 
 def test_read_mesh_rejects_truncated_file(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coupledwave import assembly
 from coupledwave import mesh as msh
 from coupledwave import mms
 from coupledwave import scheme
@@ -79,6 +80,52 @@ def test_measure_error_zero_case_is_exact():
     p = make_params()
     err = mms.measure_error(mms.build_case("zero", p), msh.generate_unit_square(3), p)
     assert err == 0.0
+
+
+@pytest.mark.parametrize(
+    "name,mesh",
+    [("separable-decay", msh.generate_unit_square(4)),
+     ("separable-decay-1d", msh.generate_unit_interval(8))],
+    ids=["2d", "1d"],
+)
+def test_measure_error_is_the_five_term_composite(monkeypatch, name, mesh):
+    # record the states measure_error's run produces, then sum the five terms
+    # straight from them: velocity errors in M, field errors in K, their
+    # difference in M
+    states = []
+    real_run = mms.run
+
+    def recording_run(*args, observer, **kwargs):
+        def both(state):
+            states.append(state)
+            observer(state)
+
+        return real_run(*args, observer=both, **kwargs)
+
+    monkeypatch.setattr(mms, "run", recording_run)
+    p = make_params(k=0.05, T=0.5)
+    case = mms.build_case(name, p)
+    err = mms.measure_error(case, mesh, p)
+
+    mass, stiffness = assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh)
+    points = mesh.vertices[~mesh.boundary_flags]
+    worst = 0.0
+    for s in states:
+        e_u = case.u(points, s.n * p.k) - s.u_curr
+        e_v = case.v(points, s.n * p.k) - s.v_curr
+        de_u = (e_u - (case.u(points, (s.n - 1) * p.k) - s.u_prev)) / p.k
+        de_v = (e_v - (case.v(points, (s.n - 1) * p.k) - s.v_prev)) / p.k
+        total = (
+            float(de_u @ (mass @ de_u))
+            + float(de_v @ (mass @ de_v))
+            + float(e_u @ (stiffness @ e_u))
+            + float(e_v @ (stiffness @ e_v))
+            + float((e_u - e_v) @ (mass @ (e_u - e_v)))
+        )
+        worst = max(worst, total)
+    assert len(states) == p.M_steps
+    assert err > 0.0
+    assert err == math.sqrt(worst)
 
 
 def test_convergence_study_level_layout():
