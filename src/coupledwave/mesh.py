@@ -106,24 +106,24 @@ def cell_measures(mesh: Mesh) -> np.ndarray:
     return signed_measures(mesh.vertices[mesh.cells])
 
 
-def shape_ratios(mesh: Mesh) -> np.ndarray:
+def shape_ratios(mesh: Mesh, measures: np.ndarray | None = None) -> np.ndarray:
     """Diameter over inscribed-ball diameter, per cell.
 
     For intervals the inscribed ball is the cell itself, so the ratio is 1.
-    For triangles the inscribed circle has diameter 4*area/perimeter.
+    For triangles the inscribed circle has diameter 4*area/perimeter, and the
+    diameter is the longest of the three edges.  ``measures`` are the signed
+    cell measures when the caller already holds them.
     """
     if mesh.dim == 1:
         return np.ones(mesh.n_cells)
     coords = mesh.vertices[mesh.cells]
     a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-    perimeter = (
-        np.linalg.norm(b - a, axis=-1)
-        + np.linalg.norm(c - b, axis=-1)
-        + np.linalg.norm(a - c, axis=-1)
-    )
-    area = np.abs(cell_measures(mesh))
+    ab = np.linalg.norm(b - a, axis=-1)
+    bc = np.linalg.norm(c - b, axis=-1)
+    ca = np.linalg.norm(a - c, axis=-1)
+    area = np.abs(cell_measures(mesh) if measures is None else measures)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return cell_diameters(mesh.vertices, mesh.cells) * perimeter / (4.0 * area)
+        return np.maximum(np.maximum(ab, bc), ca) * (ab + bc + ca) / (4.0 * area)
 
 
 def generate_unit_interval(n_cells: int) -> Mesh:
@@ -268,7 +268,7 @@ def validate(mesh: Mesh, shape_limit: float = SHAPE_REGULARITY_LIMIT) -> None:
         bad = int(np.argmin(measures))
         raise MeshError(f"cell {bad} is not positively oriented (measure {measures[bad]:g})")
 
-    ratios = shape_ratios(mesh)
+    ratios = shape_ratios(mesh, measures)
     if not (ratios < shape_limit).all():
         bad = int(np.argmax(ratios))
         raise MeshError(f"cell {bad} fails shape regularity: ratio {ratios[bad]:g}")

@@ -17,11 +17,19 @@ matrix factors exactly as
 
 where Q diag(lam) Q^T is the eigendecomposition of the 2 x 2 matrix
 [[eps_u/k, -alpha], [-alpha, eps_v/k]].  A CG step rotates the right-hand
-side per vertex, solves both N x N blocks in one Jacobi-PCG started from the
-extrapolated level 2 x_n - x_{n-1}, and rotates the solution back.  Q is
-orthogonal, so the stopping rule ||b - A x|| <= rel_tol ||b|| holds on the
-coupled system as well.  ``method = cholesky`` solves the coupled matrix
-itself, which keeps the check path independent of the rotation.
+side per vertex, solves both N x N blocks in one Jacobi-PCG, and rotates the
+solution back.  Q is orthogonal, so the stopping rule
+||b - A x|| <= rel_tol ||b|| holds on the coupled system as well.
+
+Every level solves the same matrix with a new right-hand side, so CG starts
+from the Galerkin projection of the new solution onto the span of the last
+two, X = [x_n, x_{n-1}] with stored right-hand sides B ~ A X:
+x0 = X G^{-1} X^T b with G = sym(X^T B) (P. F. Fischer, CMAME 163, 1998).
+The extrapolation 2 x_n - x_{n-1} lies in that span, so the projection's
+A-norm error is no larger; the extrapolation remains the fallback when fewer
+than two solves are stored or G is singular or not finite.  ``method =
+cholesky`` solves the coupled matrix itself, with no projection, which keeps
+the check path independent of the rotation.
 """
 
 from __future__ import annotations
@@ -36,7 +44,14 @@ import scipy.sparse as sp
 
 from . import assembly
 from .mesh import Mesh
-from .sparse_linalg import SolverConfig, SolverFailure, solve_spd
+from .sparse_linalg import SolverConfig, SolverFailure, jacobi_inverse, solve_spd
+
+# the projection falls back to extrapolation when det G <= GRAM_TOL g11 g22.
+# det G = g11 g22 sin^2 of the A-angle between the last two solutions, and G
+# is only as exact as B = A X (to rel_tol); on nearly parallel solutions, as
+# on the finest mms-ladder level, projecting below 1e-10 took more CG
+# iterations than extrapolating
+GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,7 +130,7 @@ class State:
 
 
 class BlockOperator:
-    """The implicit-step matrix, built once per run in its decoupled form.
+    """The implicit-step system of one run, built once by ``run``.
 
     Layout is [u; v].  The coupled matrix ``matrix`` has diagonal blocks
     M/k^2 + eps/k M + c^2 K + alpha M and off-diagonal blocks -alpha M, so it
@@ -130,10 +145,14 @@ class BlockOperator:
 
     ``decoupled`` holds 2 nnz(M) entries against the coupled matrix's
     4 nnz(M).  The coupled matrix is built on first access only; the CG path
-    never touches it.
+    never touches it.  The operator also owns what CG reuses from solve to
+    solve: the Jacobi preconditioner ``inv_diag`` and the last two rotated
+    (solution, right-hand side) pairs.  That history belongs to one chain of
+    ``step`` calls, so every run builds its own operator.
     """
 
-    def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams):
+    def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams,
+                 config: SolverConfig | None = None):
         k, alpha = params.k, params.alpha
         damping = np.array([[params.eps_u / k, -alpha], [-alpha, params.eps_v / k]])
         lam, self.rotation = np.linalg.eigh(damping)
@@ -144,22 +163,58 @@ class BlockOperator:
         if not np.isfinite(self.decoupled.data).all():
             raise ValueError(f"c = {params.c!r} is out of range: the step matrix "
                              f"(1/k^2 + alpha) M + c^2 K is not finite on this mesh")
-        self._parts = (mass, stiffness, params)
+        self.mass, self.params = mass, params
+        self.config = config or SolverConfig()
+        self._stiffness = stiffness
         self.n_field = mass.shape[0]
+        self._history = []  # up to two (x, b, x . b), newest first, rotated coordinates
+        self._tip = None  # the state whose level x is the newest solution
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The coupled 2N x 2N matrix, for ``method = cholesky`` and checks."""
-        mass, stiffness, params = self._parts
+        mass, stiffness, params = self.mass, self._stiffness, self.params
         k, c, alpha = params.k, params.c, params.alpha
         diag_u = mass / k**2 + (params.eps_u / k) * mass + c**2 * stiffness + alpha * mass
         diag_v = mass / k**2 + (params.eps_v / k) * mass + c**2 * stiffness + alpha * mass
         coupling = -alpha * mass
         return sp.bmat([[diag_u, coupling], [coupling, diag_v]], format="csr")
 
+    @cached_property
+    def inv_diag(self) -> np.ndarray:
+        """The Jacobi preconditioner of ``decoupled``, computed once per run."""
+        return jacobi_inverse(self.decoupled)
+
     @property
     def shape(self):
         return self.decoupled.shape
+
+    # an overflowing Gram product fails the tests below instead of warning
+    @np.errstate(over="ignore", invalid="ignore")
+    def projected_guess(self, state: State, b: np.ndarray) -> np.ndarray | None:
+        """x0 = X G^{-1} X^T b over the last two solutions, or None to extrapolate.
+
+        Applies only when ``state`` is the one this operator's last ``record``
+        produced.  G is solved in closed form; it must be positive definite
+        and well conditioned, and the guess finite, else the answer is None.
+        """
+        if len(self._history) < 2 or state is not self._tip:
+            return None
+        (x1, b1, g11), (x2, b2, g22) = self._history
+        g12 = 0.5 * (float(x1 @ b2) + float(x2 @ b1))
+        c1, c2 = float(x1 @ b), float(x2 @ b)
+        det = g11 * g22 - g12 * g12
+        # false for NaN and infinite entries as well
+        if not (g11 > 0.0 and det > GRAM_TOL * g11 * g22):
+            return None
+        guess = ((g22 * c1 - g12 * c2) / det) * x1 + ((g11 * c2 - g12 * c1) / det) * x2
+        return guess if np.isfinite(guess).all() else None
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def record(self, x: np.ndarray, b: np.ndarray, state: State) -> None:
+        """Store the solve x of the rotated system with rhs b that produced ``state``."""
+        self._history = [(x, b, float(x @ b))] + self._history[:1]
+        self._tip = state
 
 
 def initialize(mesh: Mesh, params: SchemeParams, u0, u1, v0, v1) -> State:
@@ -175,22 +230,16 @@ def initialize(mesh: Mesh, params: SchemeParams, u0, u1, v0, v1) -> State:
     return State(1, u_prev, u_curr, v_prev, v_curr)
 
 
-def step(
-    state: State,
-    op: BlockOperator,
-    mass: sp.csr_matrix,
-    params: SchemeParams,
-    config: SolverConfig | None = None,
-    f_u: np.ndarray | None = None,
-    f_v: np.ndarray | None = None,
-) -> State:
-    """Advance one time level.
+def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
+         f_v: np.ndarray | None = None) -> State:
+    """Advance one time level with the run's operator ``op``.
 
-    CG solves the decoupled system, warm-started from the extrapolation
-    2 x_n - x_{n-1}; ``method = cholesky`` solves the coupled matrix.  f_u,
-    f_v are already-assembled load vectors for the target level (or None for
-    the homogeneous problem).
+    CG solves the decoupled system, started from ``op.projected_guess`` or,
+    failing that, from the extrapolation 2 x_n - x_{n-1}; ``method =
+    cholesky`` solves the coupled matrix.  f_u, f_v are already-assembled
+    load vectors for the target level (or None for the homogeneous problem).
     """
+    params, mass = op.params, op.mass
     k = params.k
     guess_u = 2.0 * state.u_curr - state.u_prev
     guess_v = 2.0 * state.v_curr - state.v_prev
@@ -201,14 +250,19 @@ def step(
     if f_v is not None:
         rhs_v = rhs_v + f_v
     n = op.n_field
-    if config is not None and config.method == "cholesky":
-        solution = solve_spd(op.matrix, np.concatenate([rhs_u, rhs_v]), config)
+    if op.config.method == "cholesky":
+        solution = solve_spd(op.matrix, np.concatenate([rhs_u, rhs_v]), op.config)
         return State(state.n + 1, state.u_curr, solution[:n], state.v_curr, solution[n:])
     q = op.rotation
-    rotated = solve_spd(op.decoupled, np.concatenate(_rotate(q.T, rhs_u, rhs_v)), config,
-                        x0=np.concatenate(_rotate(q.T, guess_u, guess_v)))
-    u_new, v_new = _rotate(q, rotated[:n], rotated[n:])
-    return State(state.n + 1, state.u_curr, u_new, state.v_curr, v_new)
+    b = np.concatenate(_rotate(q.T, rhs_u, rhs_v))
+    x0 = op.projected_guess(state, b)
+    if x0 is None:
+        x0 = np.concatenate(_rotate(q.T, guess_u, guess_v))
+    x = solve_spd(op.decoupled, b, op.config, x0=x0, inv_diag=op.inv_diag)
+    u_new, v_new = _rotate(q, x[:n], x[n:])
+    new = State(state.n + 1, state.u_curr, u_new, state.v_curr, v_new)
+    op.record(x, b, new)
+    return new
 
 
 def _rotate(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -244,7 +298,7 @@ def run(
     State
         The final state at level M_steps.
     """
-    op = BlockOperator(mass, stiffness, params)
+    op = BlockOperator(mass, stiffness, params, config)
     state = initialize(mesh, params, *initial)
     if observer is not None:
         observer(state)
@@ -254,7 +308,7 @@ def run(
         if sources is not None:
             f_u, f_v = sources(target_t)
         try:
-            state = step(state, op, mass, params, config, f_u, f_v)
+            state = step(state, op, f_u, f_v)
         except SolverFailure as exc:
             raise SolverFailure(
                 f"advancing to level {state.n + 1} (t = {target_t:g}) failed: {exc}",

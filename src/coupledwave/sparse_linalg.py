@@ -4,7 +4,8 @@ Two independent routes are kept on purpose: a hand-written Jacobi
 preconditioned conjugate gradient (the production path, matrix-free except
 for the diagonal, started from the caller's guess or from zero) and a dense
 Cholesky factorization via scipy (the check path).  Tests compare them
-against each other, so neither should be folded into the other.
+against each other, so neither should be folded into the other.  scipy.linalg
+is imported by the Cholesky branch only, so the CG path never loads it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+
+# below this a sum of squares may have lost digits to underflow
+_SQUARES_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,13 @@ def residual_norm(A, x: np.ndarray, b: np.ndarray) -> float:
 
 
 def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None,
-              x0: np.ndarray | None = None) -> np.ndarray:
+              x0: np.ndarray | None = None, inv_diag: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
     Stops when ||b - A x|| <= rel_tol * ||b||.  A zero right-hand side
     returns the exact zero vector without iterating.  CG starts from x0
-    when given (zero otherwise); the Cholesky route ignores it.
+    when given (zero otherwise) and preconditions with ``inv_diag`` when
+    given (``jacobi_inverse(A)`` otherwise); the Cholesky route ignores both.
 
     Raises
     ------
@@ -78,36 +82,53 @@ def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None,
     if x0 is not None and not np.isfinite(x0).all():
         raise ValueError("the initial guess is not finite")
     if config.method == "cholesky":
+        import scipy.linalg
+
         dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
         _check_diagonal(np.diagonal(dense))
         factor = scipy.linalg.cho_factor(dense, lower=True)
         return scipy.linalg.cho_solve(factor, b)
-    x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0)
+    x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0, inv_diag)
     return x
 
 
-def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | None = None):
-    """Jacobi preconditioned conjugate gradient from x0 (zero when omitted).
+def jacobi_inverse(A) -> np.ndarray:
+    """The Jacobi preconditioner 1 / diag(A), after checking the diagonal.
 
-    Returns (x, iterations, residual_norm); a start whose residual already
-    meets rel_tol * ||b|| returns after 0 iterations.  The preconditioner is
-    the inverse diagonal, which is safe because assembled mass/stiffness
-    combinations have strictly positive diagonals.
+    Assembled mass/stiffness combinations have strictly positive diagonals;
+    a nonpositive entry is reported as a SolverFailure.
     """
     diag = A.diagonal() if sp.issparse(A) else np.diagonal(A)
     _check_diagonal(diag)
     if (diag <= 0.0).any():
         raise SolverFailure("matrix has a nonpositive diagonal entry", np.inf, 0)
-    inv_diag = 1.0 / diag
+    return 1.0 / diag
 
-    target = rel_tol * math.sqrt(b @ b)
+
+# overflow inside CG is detected and reported, not warned about
+@np.errstate(over="ignore", invalid="ignore")
+def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | None = None,
+              inv_diag: np.ndarray | None = None):
+    """Jacobi preconditioned conjugate gradient from x0 (zero when omitted).
+
+    Returns (x, iterations, residual_norm); a start whose residual already
+    meets rel_tol * ||b|| returns after 0 iterations.  ``inv_diag`` is the
+    preconditioner ``jacobi_inverse(A)``, computed here when omitted, so a
+    caller solving with one matrix many times passes it in.  Norms are safe
+    for entries beyond the square root of the float range; an iterate whose
+    product with A overflows raises ValueError, like any non-finite input.
+    """
+    if inv_diag is None:
+        inv_diag = jacobi_inverse(A)
+
+    target = rel_tol * _norm(b)
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
         r = b - A @ x
-    res = math.sqrt(r @ r)
+    res = _norm(r)
     if res <= target:
         return x, 0, res
     z = r * inv_diag
@@ -116,16 +137,19 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
     for it in range(1, max_iter + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise SolverFailure(
-                f"nonpositive curvature at iteration {it}; matrix is not positive definite",
-                res,
-                it,
-            )
+        if not 0.0 < pAp < math.inf:
+            if pAp <= 0.0:
+                raise SolverFailure(
+                    f"nonpositive curvature at iteration {it}; matrix is not positive definite",
+                    res,
+                    it,
+                )
+            raise ValueError(f"the solve overflowed at iteration {it}: the system's "
+                             f"entries are too large for floating point")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        res = math.sqrt(r @ r)
+        res = _norm(r)
         if res <= target:
             return x, it, res
         np.multiply(r, inv_diag, out=z)
@@ -139,6 +163,19 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
         res,
         max_iter,
     )
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm; rescaled by max |v_i| where the plain sum of squares
+    would over- or underflow (entries beyond about 1e154 or below 1e-154)."""
+    squares = float(v @ v)
+    if _SQUARES_FLOOR <= squares < math.inf:
+        return math.sqrt(squares)
+    scale = float(np.abs(v).max())
+    if not 0.0 < scale < math.inf:
+        return scale
+    w = v / scale
+    return scale * math.sqrt(float(w @ w))
 
 
 def _check_diagonal(diag: np.ndarray) -> None:

@@ -338,6 +338,12 @@ def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
         # a convergence study with the same c fails earlier, on its manufactured source
         ("mode = convergence\ndomain = interval\ncase = separable-decay-1d\nc = 1e154\n"
          "k = 0.1\nT = 0.2\nlevels = 3\n", "c = 1e+154 is out of range"),
+        # every input is finite, but at refinement level 2 the row sums of the
+        # step matrix are not, so CG's products overflow (its norms alone do
+        # not: they are taken safely, and level 1 solves)
+        ("mode = convergence\ndomain = interval\nn_per_side = 4\ncase = separable-decay-1d\n"
+         "c = 2e153\neps_u = 0.5\neps_v = 0.25\nalpha = 1.0\nk = 0.1\nT = 0.2\nlevels = 3\n",
+         "the solve overflowed"),
     ],
 )
 def test_exit_code_overflow_in_step_system(tmp_path, capsys, text, fragment):
@@ -347,6 +353,7 @@ def test_exit_code_overflow_in_step_system(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert code == 1
     assert fragment in err and "Traceback" not in err and "solver failed" not in err
+    assert "Warning" not in err
     assert not out.exists()
 
 
@@ -417,3 +424,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "energy.csv").exists()
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only the Cholesky route needs scipy.linalg; the CG path never loads it
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    code = "import sys, coupledwave.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -119,11 +119,11 @@ def test_identity_residual_detects_perturbation(square2):
     # hand-build a consistent triple on the single-dof mesh, then break it
     m, mass, stiff = square2
     p = scheme.SchemeParams.from_final_time(c=1, eps_u=0.0, eps_v=0.0, alpha=1, k=0.01, T=2.0)
-    op = scheme.BlockOperator(mass, stiff, p)
-    s1 = scheme.State(1, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1))
     from coupledwave.sparse_linalg import SolverConfig
 
-    s2 = scheme.step(s1, op, mass, p, SolverConfig(rel_tol=1e-15))
+    op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-15))
+    s1 = scheme.State(1, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1))
+    s2 = scheme.step(s1, op)
     clean = en.dissipation_identity_residual(
         s1.u_prev, s2.u_prev, s2.u_curr, s1.v_prev, s2.v_prev, s2.v_curr,
         mass, stiff, p,

@@ -43,6 +43,23 @@ def test_square_shape_ratio_is_structured_template_value():
     np.testing.assert_allclose(ratios, 1.0 + np.sqrt(2.0), rtol=1e-14)
 
 
+def test_shape_ratios_take_the_diameter_from_their_own_edges():
+    # bitwise the diameter-over-inscribed-diameter formula, with and without
+    # the measures passed in
+    m = msh.generate_unit_square(9)
+    rng = np.random.default_rng(11)
+    vertices = m.vertices.copy()
+    vertices[~m.boundary_flags] += rng.uniform(-0.015, 0.015, size=(m.n_interior, 2))
+    m = msh.Mesh(2, vertices, m.cells, m.boundary_flags, m.h)
+    a, b, c = np.moveaxis(vertices[m.cells], 1, 0)
+    perimeter = (np.linalg.norm(b - a, axis=-1) + np.linalg.norm(c - b, axis=-1)
+                 + np.linalg.norm(a - c, axis=-1))
+    area = np.abs(msh.cell_measures(m))
+    want = msh.cell_diameters(vertices, m.cells) * perimeter / (4.0 * area)
+    np.testing.assert_array_equal(msh.shape_ratios(m), want)
+    np.testing.assert_array_equal(msh.shape_ratios(m, msh.cell_measures(m)), want)
+
+
 def test_interval_shape_ratio_is_one():
     m = msh.generate_unit_interval(7)
     np.testing.assert_array_equal(msh.shape_ratios(m), np.ones(7))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ import scipy.sparse as sp
 from coupledwave import assembly as asm
 from coupledwave import mesh as msh
 from coupledwave import scheme
-from coupledwave.sparse_linalg import SolverConfig, SolverFailure, residual_norm
+from coupledwave.sparse_linalg import SolverConfig, SolverFailure, residual_norm, solve_spd
 
 # criterion 6's damping grid plus equal nonzero damping
 DAMPINGS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.25), (0.5, 0.5))
@@ -89,11 +91,10 @@ def test_warm_started_step_meets_rule_on_coupled_matrix():
     m = msh.generate_unit_square(6)
     p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
     mass, stiff = matrices(m)
-    op = scheme.BlockOperator(mass, stiff, p)
-    cfg = SolverConfig(rel_tol=1e-8)
+    op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-8))
     state = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
     for _ in range(4):
-        new = scheme.step(state, op, mass, p, cfg)
+        new = scheme.step(state, op)
         b = np.concatenate([
             mass @ ((2.0 * s_curr - s_prev) / p.k**2 + (eps / p.k) * s_curr)
             for s_prev, s_curr, eps in ((state.u_prev, state.u_curr, p.eps_u),
@@ -108,10 +109,9 @@ def test_cg_and_cholesky_steps_agree():
     m = msh.generate_unit_square(6)
     p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
     mass, stiff = matrices(m)
-    op = scheme.BlockOperator(mass, stiff, p)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
-    cg = scheme.step(state, op, mass, p, SolverConfig(rel_tol=1e-14))
-    chol = scheme.step(state, op, mass, p, SolverConfig(method="cholesky"))
+    cg = scheme.step(state, scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-14)))
+    chol = scheme.step(state, scheme.BlockOperator(mass, stiff, p, SolverConfig(method="cholesky")))
     scale = max(np.abs(chol.u_curr).max(), np.abs(chol.v_curr).max())
     assert np.abs(cg.u_curr - chol.u_curr).max() <= 1e-10 * scale
     assert np.abs(cg.v_curr - chol.v_curr).max() <= 1e-10 * scale
@@ -152,10 +152,10 @@ def test_step_matches_two_by_two_cramer_solve():
     m = msh.generate_unit_square(2)
     p = params_for(k=0.1, T=1.0)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    op = scheme.BlockOperator(mass, stiff, p)
+    op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-15))
     one = np.ones(1)
     state = scheme.State(1, one, one, np.zeros(1), np.zeros(1))
-    out = scheme.step(state, op, mass, p, SolverConfig(rel_tol=1e-15))
+    out = scheme.step(state, op)
 
     m_val, k_val = mass[0, 0], stiff[0, 0]
     assert (m_val, k_val) == (pytest.approx(0.125, rel=1e-15), pytest.approx(4.0, rel=1e-15))
@@ -207,8 +207,8 @@ def test_step_is_deterministic():
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
     op = scheme.BlockOperator(mass, stiff, p)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
-    a = scheme.step(state, op, mass, p)
-    b = scheme.step(state, op, mass, p)
+    a = scheme.step(state, op)
+    b = scheme.step(state, op)
     np.testing.assert_array_equal(a.u_curr, b.u_curr)
     np.testing.assert_array_equal(a.v_curr, b.v_curr)
 
@@ -256,3 +256,160 @@ def test_initial_preset_names():
     opposed = scheme.initial_preset("sine-opposed")
     pts = np.array([[0.25, 0.75]])
     assert opposed[2](pts) == -opposed[0](pts)
+
+
+def jittered_square(n, seed):
+    base = msh.generate_unit_square(n)
+    rng = np.random.default_rng(seed)
+    vertices = base.vertices.copy()
+    interior = ~base.boundary_flags
+    vertices[interior] += rng.uniform(-0.15 / n, 0.15 / n, size=(int(interior.sum()), 2))
+    h = float(msh.cell_diameters(vertices, base.cells).max())
+    jittered = msh.Mesh(2, vertices, base.cells.copy(), base.boundary_flags.copy(), h)
+    msh.validate(jittered)
+    return jittered
+
+
+def recording_solves(monkeypatch):
+    """Record (b, x0, inv_diag) of every solve the scheme starts."""
+    calls = []
+    solve = scheme.solve_spd
+
+    def record(A, b, config=None, x0=None, inv_diag=None):
+        calls.append((b, x0, inv_diag))
+        return solve(A, b, config, x0=x0, inv_diag=inv_diag)
+
+    monkeypatch.setattr(scheme, "solve_spd", record)
+    return calls
+
+
+def test_projected_guess_is_no_worse_than_extrapolation(monkeypatch):
+    m = jittered_square(10, seed=3)
+    p = params_for(k=0.02, T=0.4, eps_u=0.5, eps_v=0.25)
+    mass, stiff = matrices(m)
+    op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-14))
+    calls = recording_solves(monkeypatch)
+    states = [scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))]
+    for _ in range(8):
+        states.append(scheme.step(states[-1], op))
+    q = op.rotation
+    projected = 0
+    for state, (b, x0, _) in zip(states, calls):
+        extrapolated = np.concatenate(scheme._rotate(
+            q.T, 2.0 * state.u_curr - state.u_prev, 2.0 * state.v_curr - state.v_prev))
+        exact = solve_spd(op.decoupled, b, SolverConfig(method="cholesky"))
+
+        def a_error(x):
+            e = x - exact
+            return float(e @ (op.decoupled @ e))
+
+        assert a_error(x0) <= a_error(extrapolated)
+        projected += not np.array_equal(x0, extrapolated)
+    # the first two solves have fewer than two stored pairs; every later one projects
+    assert projected == len(calls) - 2
+
+
+def test_rest_state_never_builds_a_nan_guess(monkeypatch):
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=0.6)
+    mass, stiff = matrices(m)
+    op = scheme.BlockOperator(mass, stiff, p)
+    calls = recording_solves(monkeypatch)
+    state = scheme.initialize(m, p, *scheme.initial_preset("zero"))
+    for _ in range(4):
+        state = scheme.step(state, op)
+        assert (state.u_curr == 0.0).all() and (state.v_curr == 0.0).all()
+    assert len(calls) == 4
+    assert all(np.isfinite(x0).all() for _, x0, _ in calls)
+    # G is zero here, so the projection declines
+    assert op.projected_guess(state, np.ones(op.shape[0])) is None
+
+
+@pytest.mark.parametrize("overflow", ["gram", "guess"])
+def test_projection_falls_back_on_overflow(overflow):
+    # "gram": the Gram products of a huge history overflow; "guess": G is finite
+    # and well conditioned, but the combination of two nearly parallel
+    # solutions that a huge right-hand side needs does not fit in a float
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=0.6)
+    op = scheme.BlockOperator(*matrices(m), p)
+    n = op.shape[0]
+    rng = np.random.default_rng(0)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    older = rng.standard_normal(n)
+    newer = older + 1e-4 * rng.standard_normal(n)
+    b = 1e305 * (op.decoupled @ rng.standard_normal(n))
+    if overflow == "gram":
+        older, newer, b = 1e200 * older, -0.5e200 * older, np.ones(n)
+    op.record(older, op.decoupled @ older, state)
+    op.record(newer, op.decoupled @ newer, state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert op.projected_guess(state, b) is None
+
+
+def test_projection_declines_nearly_parallel_solutions():
+    # sin^2 of their angle is about 1e-14: det G is positive but below
+    # GRAM_TOL g11 g22, where G's own error would dominate its inverse
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=0.6)
+    op = scheme.BlockOperator(*matrices(m), p)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    x, y = np.random.default_rng(2).standard_normal((2, op.shape[0]))
+    for v in (x, x + 1e-7 * y):
+        op.record(v, op.decoupled @ v, state)
+    assert op.projected_guess(state, np.ones(op.shape[0])) is None
+
+
+def test_projection_applies_only_to_the_state_it_recorded():
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=1.0, eps_u=0.5)
+    op = scheme.BlockOperator(*matrices(m), p)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    for _ in range(3):
+        state = scheme.step(state, op)
+    b = np.ones(op.shape[0])
+    assert op.projected_guess(state, b) is not None
+    copy = scheme.State(state.n, state.u_prev, state.u_curr, state.v_prev, state.v_curr)
+    assert op.projected_guess(copy, b) is None
+
+
+def test_runs_in_one_process_do_not_share_history():
+    square, interval = msh.generate_unit_square(5), msh.generate_unit_interval(9)
+    p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
+    preset = scheme.initial_preset("sine-opposed")
+
+    def final(m):
+        return scheme.run(m, *matrices(m), p, preset)
+
+    first, other, again = final(square), final(interval), final(square)
+    for a, b in ((first, again), (other, final(interval))):
+        np.testing.assert_array_equal(a.u_curr, b.u_curr)
+        np.testing.assert_array_equal(a.v_curr, b.v_curr)
+
+
+def test_inverse_diagonal_computed_once_per_run(monkeypatch):
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=0.8, eps_u=0.5)
+    calls = recording_solves(monkeypatch)
+    diagonals = []
+    make = scheme.BlockOperator
+
+    def counting(*args):
+        op = make(*args)
+        decoupled = op.decoupled
+        original = decoupled.diagonal
+
+        def diagonal(*a, **kw):
+            diagonals.append(1)
+            return original(*a, **kw)
+
+        decoupled.diagonal = diagonal
+        return op
+
+    monkeypatch.setattr(scheme, "BlockOperator", counting)
+    scheme.run(m, *matrices(m), p, scheme.initial_preset("sine"))
+    assert len(calls) == p.M_steps - 1
+    inv_diag = calls[0][2]
+    assert inv_diag is not None and all(c[2] is inv_diag for c in calls)
+    assert len(diagonals) == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from coupledwave.sparse_linalg import (
     SolverConfig,
     SolverFailure,
     cg_jacobi,
+    jacobi_inverse,
     residual_norm,
     solve_spd,
 )
@@ -100,6 +103,46 @@ def test_stopping_criterion_is_relative():
     for scale in (1.0, 1e8, 1e-8):
         x = solve_spd(A, scale * b, SolverConfig(rel_tol=1e-12))
         assert residual_norm(A, x, scale * b) <= 1e-12 * np.linalg.norm(scale * b)
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+def test_norms_survive_entries_beyond_the_square_root_of_the_float_range(scale):
+    # scaling A and b together leaves x, z, r.z / p.Ap in range, but r @ r
+    # over- or underflows; the iterates are then bitwise those of the unscaled
+    # system, since a power of two scales exactly
+    m = msh.generate_unit_square(6)
+    A = asm.assemble_stiffness(m) + asm.assemble_mass(m)
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    x, iters, res = cg_jacobi(A, b, 1e-12, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_scaled, iters_scaled, res_scaled = cg_jacobi(scale * A, scale * b, 1e-12, 1000)
+    assert iters_scaled == iters > 0
+    np.testing.assert_array_equal(x_scaled, x)
+    assert res_scaled / scale == pytest.approx(res, rel=1e-12)
+
+
+def test_overflowing_solve_is_a_value_error():
+    # finite entries whose product with the guess overflows
+    A = np.array([[1.5e308, 1e308], [1e308, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflowed at iteration 1"):
+            solve_spd(A, np.ones(2), x0=np.ones(2))
+
+
+def test_passed_inverse_diagonal_is_used_as_given():
+    m = msh.generate_unit_square(6)
+    A = asm.assemble_stiffness(m) + asm.assemble_mass(m)
+    b = np.ones(A.shape[0])
+    inv_diag = jacobi_inverse(A)
+    np.testing.assert_array_equal(inv_diag, 1.0 / A.diagonal())
+    x, iters, _ = cg_jacobi(A, b, 1e-12, 1000)
+    assert cg_jacobi(A, b, 1e-12, 1000, inv_diag=inv_diag)[1] == iters
+    # a different preconditioner changes the iterates, so it really is the one applied
+    scrambled = inv_diag * np.random.default_rng(1).uniform(0.1, 10.0, A.shape[0])
+    _, other, _ = cg_jacobi(A, b, 1e-12, 1000, inv_diag=scrambled)
+    assert other != iters
 
 
 def test_iteration_budget_exhaustion_reports_residual():
