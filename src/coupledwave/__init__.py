@@ -11,16 +11,13 @@ convergence harness, and a config-driven CLI.
 from .assembly import (
     AssemblyError,
     EmptySystemError,
-    assemble_load,
     assemble_mass,
-    assemble_mass_full,
     assemble_stiffness,
-    assemble_stiffness_full,
     element_mass,
     element_stiffness,
     interpolate,
 )
-from .config import ConfigError, RunConfig, parse_config, render_config
+from .config import ConfigError, RunConfig, parse_config
 
 # the energy() op itself stays in its submodule: re-exporting it here would
 # shadow the coupledwave.energy module object
@@ -34,7 +31,6 @@ from .energy import (
     dissipation_breakdown,
     dissipation_identity_residual,
     fit_decay_rate,
-    lyapunov,
 )
 from .mesh import (
     BOUNDARY,
@@ -54,9 +50,8 @@ from .mms import (
     build_case,
     convergence_study,
     measure_error,
-    source_self_check,
 )
 from .scheme import BlockOperator, SchemeParams, State, initial_preset, initialize, run, step
-from .sparse_linalg import SolverConfig, SolverFailure, cg_jacobi, residual_norm, solve_spd
+from .sparse_linalg import SolverConfig, SolverFailure, cg_jacobi, solve_spd
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
 """P1 finite element assembly on interval and triangle meshes.
 
-Global matrices come in two flavours: over all vertices (``*_full``) and over
-interior vertices only, with Dirichlet rows and columns removed.  Load vectors
-keep the full mass action: interior rows of M applied to nodal values at all
-vertices, so contributions from basis functions next to the boundary are not
-truncated.
+Global matrices live on the interior vertices, with Dirichlet rows and
+columns removed.  The load matrix keeps the full mass action: interior rows
+of M applied to nodal values at all vertices, so contributions from basis
+functions next to the boundary are not truncated.
 """
 
 from __future__ import annotations
@@ -76,20 +75,6 @@ def _assemble(mesh: Mesh, element_fn, row_map, col_map, shape) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def assemble_mass_full(mesh: Mesh) -> sp.csr_matrix:
-    """Mass matrix over all vertices."""
-    ident = np.arange(mesh.n_vertices)
-    n = mesh.n_vertices
-    return _assemble(mesh, element_mass, ident, ident, (n, n))
-
-
-def assemble_stiffness_full(mesh: Mesh) -> sp.csr_matrix:
-    """Stiffness matrix over all vertices (singular: constants are in its kernel)."""
-    ident = np.arange(mesh.n_vertices)
-    n = mesh.n_vertices
-    return _assemble(mesh, element_stiffness, ident, ident, (n, n))
-
-
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Mass matrix restricted to interior vertices (symmetric positive definite)."""
     dof = _interior_or_raise(mesh)
@@ -115,36 +100,20 @@ def load_matrix(mesh: Mesh) -> sp.csr_matrix:
     return _assemble(mesh, element_mass, dof, ident, (mesh.n_interior, mesh.n_vertices))
 
 
-def assemble_load(mesh: Mesh, f) -> np.ndarray:
-    """Load vector of a scalar field against interior basis functions.
-
-    ``f`` is evaluated at all vertices, interpolated in the P1 space, and
-    integrated exactly against each interior hat function.
-    """
-    values = evaluate_at_vertices(mesh, f)
-    return load_matrix(mesh) @ values
-
-
 def interpolate(mesh: Mesh, g) -> np.ndarray:
-    """Nodal values of ``g`` at interior vertices, in interior dof order."""
+    """Nodal values of ``g`` at interior vertices, in interior dof order.
+
+    ``g`` is evaluated at every vertex and must return finite values.
+    """
     _interior_or_raise(mesh)
-    return evaluate_at_vertices(mesh, g)[~mesh.boundary_flags]
-
-
-def evaluate_at_vertices(mesh: Mesh, f) -> np.ndarray:
-    """Evaluate a callable (or broadcast a constant) at every vertex."""
-    if callable(f):
-        values = np.asarray(f(mesh.vertices), dtype=float)
-    else:
-        values = np.full(mesh.n_vertices, float(f))
-    values = values.reshape(-1)
+    values = np.asarray(g(mesh.vertices), dtype=float).reshape(-1)
     if values.shape != (mesh.n_vertices,):
         raise AssemblyError(
             f"field returned shape {values.shape}, expected ({mesh.n_vertices},)"
         )
     if not np.isfinite(values).all():
         raise AssemblyError("field evaluated to a non-finite value")
-    return values
+    return values[~mesh.boundary_flags]
 
 
 def _interior_or_raise(mesh: Mesh) -> np.ndarray:
@@ -154,11 +123,3 @@ def _interior_or_raise(mesh: Mesh) -> np.ndarray:
         )
     return interior_dof_map(mesh)
 
-
-def export_coo(matrix, path) -> None:
-    """Dump a sparse matrix as 'row col value' text lines for inspection."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")

@@ -156,18 +156,3 @@ def _validate(cfg: RunConfig) -> None:
     else:
         scheme.initial_preset(cfg.initial)
 
-
-def render_config(cfg: RunConfig) -> str:
-    """Emit config text that parses back to an equal RunConfig.
-
-    Floats are written with repr so values survive the round trip bitwise;
-    unset optional keys are omitted.
-    """
-    out = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        text = repr(value) if isinstance(value, float) else str(value)
-        out.append(f"{f.name} = {text}")
-    return "\n".join(out) + "\n"

@@ -151,12 +151,8 @@ def dissipation_identity_residual(
     return abs(drop - terms.total)
 
 
-def lyapunov(state: State, mass, stiffness, params: SchemeParams, lp: LyapunovParams) -> float:
-    """N_weight * E plus the beta-weighted velocity-displacement cross terms."""
-    return _lyapunov(energy(state, mass, stiffness, params).E, state, mass, params, lp)
-
-
 def _lyapunov(E: float, state: State, mass, params: SchemeParams, lp: LyapunovParams) -> float:
+    """N_weight * E plus the beta-weighted velocity-displacement cross terms."""
     du = (state.u_curr - state.u_prev) / params.k
     dv = (state.v_curr - state.v_prev) / params.k
     cross = float(du @ (mass @ state.u_curr)) + float(dv @ (mass @ state.v_curr))
@@ -215,11 +211,10 @@ class EnergyTracker:
     def max_identity_residual(self) -> float:
         return max(self.identity_residuals)
 
-    def is_monotone(self, slack: float | None = None) -> bool:
-        """True when E never rises by more than ``slack`` across any step."""
+    def is_monotone(self) -> bool:
+        """True when E never rises by more than 1e-12 max(E_0, 1) across any step."""
         energies = [r.E for r in self.records]
-        if slack is None:
-            slack = 1e-12 * max(energies[0], 1.0)
+        slack = 1e-12 * max(energies[0], 1.0)
         return all(b <= a + slack for a, b in zip(energies, energies[1:]))
 
 

@@ -10,6 +10,7 @@ counterclockwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
@@ -79,14 +80,16 @@ def _make_mesh(dim, vertices, cells, boundary_flags) -> Mesh:
 
 def cell_diameters(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Diameter (longest edge) of every cell."""
-    coords = vertices[cells]  # (n_cells, dim+1, dim)
-    nv = cells.shape[1]
-    diam = np.zeros(cells.shape[0])
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            edge = np.linalg.norm(coords[:, i] - coords[:, j], axis=-1)
-            diam = np.maximum(diam, edge)
-    return diam
+    return functools.reduce(np.maximum, _edge_lengths(vertices[cells]))
+
+
+def _edge_lengths(coords: np.ndarray) -> list:
+    """Edge lengths of a stack of cells (n_cells, dim + 1, dim), one array per edge.
+
+    A triangle's edges run v0 v1, v1 v2, v2 v0; an interval is its own edge.
+    """
+    ends = ((0, 1),) if coords.shape[1] == 2 else ((0, 1), (1, 2), (2, 0))
+    return [np.linalg.norm(coords[:, j] - coords[:, i], axis=-1) for i, j in ends]
 
 
 def signed_measures(coords: np.ndarray) -> np.ndarray:
@@ -116,11 +119,7 @@ def shape_ratios(mesh: Mesh, measures: np.ndarray | None = None) -> np.ndarray:
     """
     if mesh.dim == 1:
         return np.ones(mesh.n_cells)
-    coords = mesh.vertices[mesh.cells]
-    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-    ab = np.linalg.norm(b - a, axis=-1)
-    bc = np.linalg.norm(c - b, axis=-1)
-    ca = np.linalg.norm(a - c, axis=-1)
+    ab, bc, ca = _edge_lengths(mesh.vertices[mesh.cells])
     area = np.abs(cell_measures(mesh) if measures is None else measures)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.maximum(np.maximum(ab, bc), ca) * (ab + bc + ca) / (4.0 * area)
@@ -238,14 +237,14 @@ def interior_dof_map(mesh: Mesh) -> np.ndarray:
     return dof
 
 
-def validate(mesh: Mesh, shape_limit: float = SHAPE_REGULARITY_LIMIT) -> None:
+def validate(mesh: Mesh) -> None:
     """Check structural invariants, raising MeshError on the first violation.
 
     Checks: index ranges, positive orientation, conformity (an edge is shared
     by at most two triangles, duplicate cells are rejected), boundary flags
     consistent with the combinatorial boundary, shape regularity below
-    ``shape_limit``, and that cell measures add up to the measure enclosed by
-    the combinatorial boundary (catches overlaps and holes).
+    SHAPE_REGULARITY_LIMIT, and that cell measures add up to the measure
+    enclosed by the combinatorial boundary (catches overlaps and holes).
     """
     if mesh.dim not in (1, 2):
         raise MeshError(f"unsupported dimension {mesh.dim}")
@@ -269,7 +268,7 @@ def validate(mesh: Mesh, shape_limit: float = SHAPE_REGULARITY_LIMIT) -> None:
         raise MeshError(f"cell {bad} is not positively oriented (measure {measures[bad]:g})")
 
     ratios = shape_ratios(mesh, measures)
-    if not (ratios < shape_limit).all():
+    if not (ratios < SHAPE_REGULARITY_LIMIT).all():
         bad = int(np.argmax(ratios))
         raise MeshError(f"cell {bad} fails shape regularity: ratio {ratios[bad]:g}")
 

@@ -25,13 +25,6 @@ from .mesh import Mesh, refine_uniform
 from .scheme import SchemeParams, State, run, sine_mode
 from .sparse_linalg import SolverConfig, SolverFailure
 
-# 6th-order central stencils; with this step the self-check residual sits
-# around 1e-11, comfortably under its 1e-10 budget (4th order would not)
-_FD_STEP = 0.01
-_FD_W1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FD_W2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-_FD_OFFSETS = np.arange(-3, 4)
-
 
 @dataclass(frozen=True)
 class ManufacturedCase:
@@ -120,51 +113,6 @@ _CASES = {
     "symmetric": lambda n, p: _separable_decay(n, p, dim=2, v_factor=1.0),
     "zero": _zero_case,
 }
-
-def source_self_check(case: ManufacturedCase, n_samples: int = 100, seed: int = 0) -> float:
-    """Max residual of the source identity at random (x, t) samples.
-
-    The derivatives of the exact fields are probed by finite differences
-    (6th-order stencils in t and in each space direction), so agreement
-    certifies the hand-derived sources rather than re-evaluating them.
-    """
-    rng = np.random.default_rng(seed)
-    p = case.params
-    worst = 0.0
-    for _ in range(n_samples):
-        x = rng.uniform(0.1, 0.9, size=(1, case.dim))
-        t = float(rng.uniform(0.1, 2.0))
-        for field, other, eps, source in (
-            (case.u, case.v, p.eps_u, case.source_u),
-            (case.v, case.u, p.eps_v, case.source_v),
-        ):
-            w_tt = _fd_time(field, x, t, _FD_W2) / _FD_STEP**2
-            w_t = _fd_time(field, x, t, _FD_W1) / _FD_STEP
-            lap = _fd_laplacian(field, x, t)
-            expected = (
-                w_tt
-                - p.c**2 * lap
-                + eps * w_t
-                + p.alpha * (float(field(x, t)[0]) - float(other(x, t)[0]))
-            )
-            worst = max(worst, abs(float(source(x, t)[0]) - expected))
-    return worst
-
-
-def _fd_time(field, x, t, weights) -> float:
-    return sum(
-        w * float(field(x, t + o * _FD_STEP)[0]) for w, o in zip(weights, _FD_OFFSETS)
-    )
-
-
-def _fd_laplacian(field, x, t) -> float:
-    total = 0.0
-    for axis in range(x.shape[1]):
-        for w, o in zip(_FD_W2, _FD_OFFSETS):
-            shifted = x.copy()
-            shifted[0, axis] += o * _FD_STEP
-            total += w * float(field(shifted, t)[0])
-    return total / _FD_STEP**2
 
 
 @dataclass(frozen=True)
@@ -289,6 +237,8 @@ def convergence_study(case_name: str, base_mesh: Mesh, base_k: float, levels: in
             raise SolverFailure(
                 f"refinement level {level}: {exc}", exc.residual, exc.iterations
             ) from exc
+        except ValueError as exc:
+            raise ValueError(f"refinement level {level}: {exc}") from exc
         records.append(LevelRecord(level=level, h=mesh.h, k=k, error=err))
         if level + 1 < levels:
             mesh = refine_uniform(mesh)

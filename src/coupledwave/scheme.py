@@ -185,10 +185,6 @@ class BlockOperator:
         """The Jacobi preconditioner of ``decoupled``, computed once per run."""
         return jacobi_inverse(self.decoupled)
 
-    @property
-    def shape(self):
-        return self.decoupled.shape
-
     # an overflowing Gram product fails the tests below instead of warning
     @np.errstate(over="ignore", invalid="ignore")
     def projected_guess(self, state: State, b: np.ndarray) -> np.ndarray | None:
@@ -314,6 +310,10 @@ def run(
                 f"advancing to level {state.n + 1} (t = {target_t:g}) failed: {exc}",
                 exc.residual,
                 exc.iterations,
+            ) from exc
+        except ValueError as exc:
+            raise ValueError(
+                f"advancing to level {state.n + 1} (t = {target_t:g}) failed: {exc}"
             ) from exc
         if observer is not None:
             observer(state)

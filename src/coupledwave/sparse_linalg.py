@@ -49,11 +49,6 @@ class SolverFailure(RuntimeError):
         self.iterations = iterations
 
 
-def residual_norm(A, x: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean norm of b - A x."""
-    return float(np.linalg.norm(b - A @ x))
-
-
 def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None,
               x0: np.ndarray | None = None, inv_diag: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
@@ -111,7 +106,7 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
               inv_diag: np.ndarray | None = None):
     """Jacobi preconditioned conjugate gradient from x0 (zero when omitted).
 
-    Returns (x, iterations, residual_norm); a start whose residual already
+    Returns (x, iterations, residual); a start whose residual already
     meets rel_tol * ||b|| returns after 0 iterations.  ``inv_diag`` is the
     preconditioner ``jacobi_inverse(A)``, computed here when omitted, so a
     caller solving with one matrix many times passes it in.  Norms are safe

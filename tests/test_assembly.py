@@ -106,15 +106,13 @@ def test_square_stiffness_diagonal_is_mesh_independent():
         np.testing.assert_allclose(K.diagonal(), 4.0, rtol=1e-13)
 
 
-def test_full_matrices_global_identities():
-    m = msh.generate_unit_square(4)
-    M = asm.assemble_mass_full(m)
-    K = asm.assemble_stiffness_full(m)
-    # sum of all mass entries integrates 1*1 over the domain
-    assert M.sum() == pytest.approx(1.0, rel=1e-14)
-    # constants are in the kernel of the Neumann stiffness matrix
-    ones = np.ones(m.n_vertices)
-    assert np.abs(K @ ones).max() < 1e-13
+def test_element_matrices_global_identities():
+    for m in (msh.generate_unit_square(4), msh.generate_unit_interval(7)):
+        coords = m.vertices[m.cells]
+        # all element-mass entries together integrate 1*1 over the domain
+        assert asm.element_mass(coords).sum() == pytest.approx(1.0, rel=1e-14)
+        # constants are in the kernel of every element stiffness matrix
+        assert np.abs(asm.element_stiffness(coords).sum(axis=-1)).max() < 1e-13
 
 
 def test_assembled_matrices_exactly_symmetric():
@@ -142,21 +140,14 @@ def test_load_constant_interval():
     # full mass action keeps the boundary-column contributions: each interior
     # hat integrates to h, plus h/2 from each flagged neighbour of f's interpolant
     m = msh.generate_unit_interval(2)
-    load = asm.assemble_load(m, lambda p: np.ones(len(p)))
+    load = asm.load_matrix(m) @ np.ones(m.n_vertices)
     np.testing.assert_allclose(load, [0.5], rtol=1e-15)
 
 
 def test_load_constant_square():
     m = msh.generate_unit_square(2)
-    load = asm.assemble_load(m, 1.0)
+    load = asm.load_matrix(m) @ np.ones(m.n_vertices)
     np.testing.assert_allclose(load, [0.25], rtol=1e-15)
-
-
-def test_load_accepts_scalar_shorthand():
-    m = msh.generate_unit_interval(4)
-    a = asm.assemble_load(m, 2.0)
-    b = asm.assemble_load(m, lambda p: np.full(len(p), 2.0))
-    np.testing.assert_array_equal(a, b)
 
 
 def test_galerkin_consistency_1d():
@@ -166,7 +157,7 @@ def test_galerkin_consistency_1d():
         m = msh.generate_unit_interval(n)
         K = asm.assemble_stiffness(m)
         u = asm.interpolate(m, lambda p: p[:, 0] * (1.0 - p[:, 0]))
-        f = asm.assemble_load(m, 2.0)
+        f = asm.load_matrix(m) @ np.full(m.n_vertices, 2.0)
         assert np.abs(K @ u - f).max() < 1e-12
 
 
@@ -187,16 +178,5 @@ def test_empty_system_raises():
     with pytest.raises(asm.EmptySystemError):
         asm.assemble_mass(m)
     with pytest.raises(asm.EmptySystemError):
-        asm.assemble_load(m, 1.0)
+        asm.load_matrix(m)
 
-
-def test_export_coo_roundtrip(tmp_path):
-    m = msh.generate_unit_interval(4)
-    M = asm.assemble_mass(m)
-    path = tmp_path / "mass.txt"
-    asm.export_coo(M, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    rebuilt = np.zeros(M.shape)
-    for r, c, v in rows:
-        rebuilt[int(r), int(c)] = float(v)
-    np.testing.assert_array_equal(rebuilt, M.toarray())

@@ -43,11 +43,11 @@ def test_lyapunov_frozen_single_dof_example(square2):
     p = dyadic_params()
     rec = en.energy(state, mass, stiff, p)
     assert rec.E == pytest.approx(4.703125, rel=1e-14)
-    lp = en.LyapunovParams(N_weight=10.0, beta=1.0)
-    assert en.lyapunov(state, mass, stiff, p, lp) == pytest.approx(47.21875, rel=1e-14)
     # doubling beta adds one more copy of the cross term (0.1875)
-    lp2 = en.LyapunovParams(N_weight=10.0, beta=2.0)
-    assert en.lyapunov(state, mass, stiff, p, lp2) == pytest.approx(47.40625, rel=1e-14)
+    for beta, expected in ((1.0, 47.21875), (2.0, 47.40625)):
+        tracker = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(N_weight=10.0, beta=beta))
+        tracker(state)
+        assert tracker.lyapunov_values == [pytest.approx(expected, rel=1e-14)]
 
 
 def test_lyapunov_params_validation():
@@ -164,19 +164,6 @@ def test_tracker_layout():
     plain = en.EnergyTracker(mass, stiff, p)
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=plain)
     assert plain.lyapunov_values == [r.E for r in plain.records]
-
-
-def test_tracker_lyapunov_equals_lyapunov_bitwise():
-    m = msh.generate_unit_interval(6)
-    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1, eps_u=0.5, eps_v=0, alpha=1, k=0.1, T=1.0)
-    lp = en.LyapunovParams(2.0, 0.125)
-    states = []
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=states.append)
-    tracker = en.EnergyTracker(mass, stiff, p, lp)
-    for state in states:
-        tracker(state)
-    assert tracker.lyapunov_values == [en.lyapunov(s, mass, stiff, p, lp) for s in states]
 
 
 def synthetic_records(energies, dt=0.1):

@@ -43,10 +43,39 @@ def test_symmetric_case_sources_coincide():
     )
 
 
+def source_residual(case, n_samples, seed=0):
+    """Max residual of the source identity at random (x, t) samples.
+
+    The derivatives of the exact fields come from the 6th-order oracle
+    stencils, so agreement certifies the hand-derived sources rather than
+    re-evaluating them.
+    """
+    rng = np.random.default_rng(seed)
+    p = case.params
+    worst = 0.0
+    for _ in range(n_samples):
+        x = rng.uniform(0.1, 0.9, size=(1, case.dim))
+        t = float(rng.uniform(0.1, 2.0))
+        for field, other, eps, source in (
+            (case.u, case.v, p.eps_u, case.source_u),
+            (case.v, case.u, p.eps_v, case.source_v),
+        ):
+            in_time = lambda s: float(field(x, s)[0])
+            w_tt = oracles.fd_time_derivative(in_time, t, order=2)
+            w_t = oracles.fd_time_derivative(in_time, t, order=1)
+            lap = oracles.fd_laplacian(lambda q: float(field(q[None, :], t)[0]), x[0].copy())
+            expected = (
+                w_tt - p.c**2 * lap + eps * w_t
+                + p.alpha * (float(field(x, t)[0]) - float(other(x, t)[0]))
+            )
+            worst = max(worst, abs(float(source(x, t)[0]) - expected))
+    return worst
+
+
 def test_source_self_check_all_builtin_cases():
     p = make_params()
     for name in ("separable-decay", "separable-decay-1d", "symmetric", "zero"):
-        residual = mms.source_self_check(mms.build_case(name, p), n_samples=100)
+        residual = source_residual(mms.build_case(name, p), n_samples=100)
         assert residual <= 1e-10, f"{name}: {residual}"
 
 
@@ -73,7 +102,7 @@ def test_source_residual_detects_wrong_coefficient():
     from dataclasses import replace
 
     bad = replace(good, source_u=lambda pts, t: 1.001 * good.source_u(pts, t))
-    assert mms.source_self_check(bad, n_samples=20) > 1e-3
+    assert source_residual(bad, n_samples=20) > 1e-3
 
 
 def test_measure_error_zero_case_is_exact():

@@ -12,7 +12,6 @@ from coupledwave.sparse_linalg import (
     SolverFailure,
     cg_jacobi,
     jacobi_inverse,
-    residual_norm,
     solve_spd,
 )
 
@@ -102,7 +101,7 @@ def test_stopping_criterion_is_relative():
     b = np.ones(A.shape[0])
     for scale in (1.0, 1e8, 1e-8):
         x = solve_spd(A, scale * b, SolverConfig(rel_tol=1e-12))
-        assert residual_norm(A, x, scale * b) <= 1e-12 * np.linalg.norm(scale * b)
+        assert np.linalg.norm(scale * b - A @ x) <= 1e-12 * np.linalg.norm(scale * b)
 
 
 @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
@@ -183,7 +182,7 @@ def test_warm_start_reaches_the_same_rule():
     b = rng.standard_normal(A.shape[0])
     x0 = rng.standard_normal(A.shape[0])
     x = solve_spd(A, b, SolverConfig(rel_tol=1e-10), x0=x0)
-    assert residual_norm(A, x, b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
     # Cholesky ignores the guess
     x_ch = solve_spd(A, b, SolverConfig(method="cholesky"), x0=x0)
     np.testing.assert_array_equal(x_ch, solve_spd(A, b, SolverConfig(method="cholesky")))
@@ -211,9 +210,3 @@ def test_zero_rhs_shortcut_comes_first():
     x = solve_spd(A, np.zeros(2), x0=np.array([np.nan, 1.0]))
     assert (x == 0.0).all()
 
-
-def test_residual_norm_definition():
-    A = np.array([[2.0, 0.0], [0.0, 3.0]])
-    x = np.array([1.0, 1.0])
-    b = np.array([2.0, 0.0])
-    assert residual_norm(A, x, b) == pytest.approx(3.0)
