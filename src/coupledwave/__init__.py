@@ -28,8 +28,6 @@ from .energy import (
     EnergyTracker,
     InsufficientDataError,
     LyapunovParams,
-    dissipation_breakdown,
-    dissipation_identity_residual,
     fit_decay_rate,
 )
 from .mesh import (

@@ -22,7 +22,10 @@ _EXIT_CONFIG = 1
 _EXIT_SOLVER = 2
 _EXIT_IO = 3
 
-ENERGY_HEADER = "n,t,E,kinetic_u,kinetic_v,elastic_u,elastic_v,coupling,dE,identity_residual,lyapunov"
+# EnergyRecord fields, in energy.csv column order
+ENERGY_COLUMNS = ("n", "t", "E", "kinetic_u", "kinetic_v", "elastic_u", "elastic_v",
+                  "coupling", "dE", "identity_residual", "lyapunov")
+ENERGY_HEADER = ",".join(ENERGY_COLUMNS)
 TABLE_HEADER = "level,h,k,error,order"
 
 
@@ -145,15 +148,8 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
 
 def _write_energy_csv(path: str, tracker: EnergyTracker) -> None:
     rows = [ENERGY_HEADER]
-    for rec, de, res, lyap in zip(
-        tracker.records, tracker.dE, tracker.identity_residuals, tracker.lyapunov_values
-    ):
-        rows.append(",".join([
-            str(rec.n), _fmt(rec.t), _fmt(rec.E),
-            _fmt(rec.kinetic_u), _fmt(rec.kinetic_v),
-            _fmt(rec.elastic_u), _fmt(rec.elastic_v), _fmt(rec.coupling),
-            _fmt(de), _fmt(res), _fmt(lyap),
-        ]))
+    for rec in tracker.records:
+        rows.append(",".join(_fmt(getattr(rec, name)) for name in ENERGY_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 

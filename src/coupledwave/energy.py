@@ -46,10 +46,13 @@ class DissipationBreakdown:
 
 @dataclass(frozen=True)
 class EnergyRecord:
-    """Energy of one level pair, indexed by the upper level n at time t = n k.
+    """One energy.csv row: the energy of a level pair, indexed by the upper
+    level n at time t = n k, with the diagnostics of the step into level n.
 
-    ``dissipation`` describes the step into level n and is None for records
-    that no scheme step produced (the startup level).
+    ``dE`` (the energy drop), ``identity_residual`` (|dE minus the dissipation
+    sum|) and ``dissipation`` are 0.0, 0.0 and None for records that no scheme
+    step produced (the startup level).  ``lyapunov`` equals E unless Lyapunov
+    parameters were tracked.
     """
 
     n: int
@@ -60,6 +63,9 @@ class EnergyRecord:
     elastic_u: float
     elastic_v: float
     coupling: float
+    dE: float
+    identity_residual: float
+    lyapunov: float
     dissipation: DissipationBreakdown | None = None
 
 
@@ -92,32 +98,31 @@ def _quad(matrix, x: np.ndarray) -> float:
     return float(x @ (matrix @ x))
 
 
-def energy_components(u_cur, u_new, v_cur, v_new, mass, stiffness, params: SchemeParams):
-    """The five energy summands for one level pair, in record order."""
+def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
+    """EnergyRecord of a state's level pair (n-1, n), stamped with level n.
+
+    The record describes no step: dE and identity_residual are 0.0 and
+    lyapunov is E.
+    """
     k = params.k
-    du = (u_new - u_cur) / k
-    dv = (v_new - v_cur) / k
-    return (
+    du = (state.u_curr - state.u_prev) / k
+    dv = (state.v_curr - state.v_prev) / k
+    parts = (
         0.5 * _quad(mass, du),
         0.5 * _quad(mass, dv),
-        0.5 * params.c**2 * _quad(stiffness, u_new),
-        0.5 * params.c**2 * _quad(stiffness, v_new),
-        0.5 * params.alpha * _quad(mass, u_new - v_new),
+        0.5 * params.c**2 * _quad(stiffness, state.u_curr),
+        0.5 * params.c**2 * _quad(stiffness, state.v_curr),
+        0.5 * params.alpha * _quad(mass, state.u_curr - state.v_curr),
     )
+    E = sum(parts)
+    return EnergyRecord(state.n, state.n * k, E, *parts, dE=0.0, identity_residual=0.0, lyapunov=E)
 
 
-def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
-    """EnergyRecord of a state's level pair (n-1, n), stamped with level n."""
-    parts = energy_components(
-        state.u_prev, state.u_curr, state.v_prev, state.v_curr, mass, stiffness, params
-    )
-    return EnergyRecord(state.n, state.n * params.k, sum(parts), *parts)
-
-
-def dissipation_breakdown(
-    u_old, u_mid, u_new, v_old, v_mid, v_new, mass, stiffness, params: SchemeParams
-) -> DissipationBreakdown:
-    """Seven dissipation terms for the step from levels (old, mid) to (mid, new)."""
+def _dissipation(old_state: State, new_state: State, mass, stiffness,
+                 params: SchemeParams) -> DissipationBreakdown:
+    """Seven dissipation terms for the step from old_state's level pair to new_state's."""
+    u_old, u_mid, u_new = old_state.u_prev, new_state.u_prev, new_state.u_curr
+    v_old, v_mid, v_new = old_state.v_prev, new_state.v_prev, new_state.v_curr
     k = params.k
     ddu = (u_new - 2.0 * u_mid + u_old) / k
     ddv = (v_new - 2.0 * v_mid + v_old) / k
@@ -134,23 +139,6 @@ def dissipation_breakdown(
     )
 
 
-def dissipation_identity_residual(
-    u_old, u_mid, u_new, v_old, v_mid, v_new, mass, stiffness, params: SchemeParams
-) -> float:
-    """|energy drop minus the seven-term dissipation sum| across one step.
-
-    Zero in exact arithmetic whenever the three levels satisfy the scheme
-    equations, independent of sources being present or not.
-    """
-    e_old = sum(energy_components(u_old, u_mid, v_old, v_mid, mass, stiffness, params))
-    e_new = sum(energy_components(u_mid, u_new, v_mid, v_new, mass, stiffness, params))
-    drop = e_new - e_old
-    terms = dissipation_breakdown(
-        u_old, u_mid, u_new, v_old, v_mid, v_new, mass, stiffness, params
-    )
-    return abs(drop - terms.total)
-
-
 def _lyapunov(E: float, state: State, mass, params: SchemeParams, lp: LyapunovParams) -> float:
     """N_weight * E plus the beta-weighted velocity-displacement cross terms."""
     du = (state.u_curr - state.u_prev) / params.k
@@ -160,10 +148,8 @@ def _lyapunov(E: float, state: State, mass, params: SchemeParams, lp: LyapunovPa
 
 
 class EnergyTracker:
-    """Run observer that keeps an EnergyRecord per level plus step diagnostics.
+    """Run observer that keeps one EnergyRecord per level, step diagnostics included.
 
-    ``identity_residuals[i]`` and ``dE[i]`` describe the step into record i
-    and are 0.0 for the first record, which no scheme step produced.
     Lyapunov values are tracked when parameters are supplied.  A level whose
     energy or Lyapunov value is not finite raises ValueError.
     """
@@ -174,9 +160,6 @@ class EnergyTracker:
         self.params = params
         self.lyapunov_params = lyapunov_params
         self.records: list = []
-        self.dE: list = []
-        self.identity_residuals: list = []
-        self.lyapunov_values: list = []
         self._last_state: State | None = None
 
     def __call__(self, state: State) -> None:
@@ -187,29 +170,21 @@ class EnergyTracker:
         if not (math.isfinite(rec.E) and math.isfinite(lyap)):
             raise ValueError(f"energy {rec.E!r} or Lyapunov value {lyap!r} "
                              f"at level {state.n} is not finite")
-        if self._last_state is None:
-            self.dE.append(0.0)
-            self.identity_residuals.append(0.0)
-        else:
-            prev = self._last_state
+        step = {}
+        prev = self._last_state
+        if prev is not None:
             if prev.n != state.n - 1 or not np.array_equal(prev.u_curr, state.u_prev):
                 raise ValueError("tracker must observe consecutive states of one run")
-            breakdown = dissipation_breakdown(
-                prev.u_prev, state.u_prev, state.u_curr,
-                prev.v_prev, state.v_prev, state.v_curr,
-                self.mass, self.stiffness, self.params,
-            )
+            breakdown = _dissipation(prev, state, self.mass, self.stiffness, self.params)
             drop = rec.E - self.records[-1].E
-            rec = replace(rec, dissipation=breakdown)
-            self.dE.append(drop)
-            self.identity_residuals.append(abs(drop - breakdown.total))
-        self.lyapunov_values.append(lyap)
-        self.records.append(rec)
+            step = dict(dE=drop, identity_residual=abs(drop - breakdown.total),
+                        dissipation=breakdown)
+        self.records.append(replace(rec, lyapunov=lyap, **step))
         self._last_state = state
 
     @property
     def max_identity_residual(self) -> float:
-        return max(self.identity_residuals)
+        return max(r.identity_residual for r in self.records)
 
     def is_monotone(self) -> bool:
         """True when E never rises by more than 1e-12 max(E_0, 1) across any step."""

@@ -23,7 +23,7 @@ import numpy as np
 from . import assembly, energy
 from .mesh import Mesh, refine_uniform
 from .scheme import SchemeParams, State, run, sine_mode
-from .sparse_linalg import SolverConfig, SolverFailure
+from .sparse_linalg import SolverConfig, SolverFailure, with_context
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,8 @@ def convergence_study(case_name: str, base_mesh: Mesh, base_k: float, levels: in
         )
         try:
             err = measure_error(case, mesh, level_params, config)
-        except SolverFailure as exc:
-            raise SolverFailure(
-                f"refinement level {level}: {exc}", exc.residual, exc.iterations
-            ) from exc
-        except ValueError as exc:
-            raise ValueError(f"refinement level {level}: {exc}") from exc
+        except (SolverFailure, ValueError) as exc:
+            raise with_context(exc, f"refinement level {level}") from exc
         records.append(LevelRecord(level=level, h=mesh.h, k=k, error=err))
         if level + 1 < levels:
             mesh = refine_uniform(mesh)

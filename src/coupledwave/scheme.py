@@ -44,7 +44,7 @@ import scipy.sparse as sp
 
 from . import assembly
 from .mesh import Mesh
-from .sparse_linalg import SolverConfig, SolverFailure, jacobi_inverse, solve_spd
+from .sparse_linalg import SolverConfig, SolverFailure, jacobi_inverse, solve_spd, with_context
 
 # the projection falls back to extrapolation when det G <= GRAM_TOL g11 g22.
 # det G = g11 g22 sin^2 of the A-angle between the last two solutions, and G
@@ -305,15 +305,9 @@ def run(
             f_u, f_v = sources(target_t)
         try:
             state = step(state, op, f_u, f_v)
-        except SolverFailure as exc:
-            raise SolverFailure(
-                f"advancing to level {state.n + 1} (t = {target_t:g}) failed: {exc}",
-                exc.residual,
-                exc.iterations,
-            ) from exc
-        except ValueError as exc:
-            raise ValueError(
-                f"advancing to level {state.n + 1} (t = {target_t:g}) failed: {exc}"
+        except (SolverFailure, ValueError) as exc:
+            raise with_context(
+                exc, f"advancing to level {state.n + 1} (t = {target_t:g}) failed"
             ) from exc
         if observer is not None:
             observer(state)

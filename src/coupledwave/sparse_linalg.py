@@ -49,6 +49,14 @@ class SolverFailure(RuntimeError):
         self.iterations = iterations
 
 
+def with_context(exc: SolverFailure | ValueError, context: str) -> SolverFailure | ValueError:
+    """A SolverFailure or ValueError like ``exc`` whose message leads with ``context``."""
+    message = f"{context}: {exc}"
+    if isinstance(exc, SolverFailure):
+        return SolverFailure(message, exc.residual, exc.iterations)
+    return ValueError(message)
+
+
 def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None,
               x0: np.ndarray | None = None, inv_diag: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.

@@ -11,11 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupledwave import assembly, scheme
 from coupledwave import mesh as msh
-from coupledwave.cli import ENERGY_HEADER, TABLE_HEADER, run_cli
+from coupledwave.cli import TABLE_HEADER, run_cli
 from coupledwave.config import ConfigError, RunConfig, parse_config
+from coupledwave.energy import EnergyTracker, LyapunovParams
+from coupledwave.sparse_linalg import SolverConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the energy.csv header as the README documents it
+README_ENERGY_HEADER = (
+    "n,t,E,kinetic_u,kinetic_v,elastic_u,elastic_v,coupling,dE,identity_residual,lyapunov"
+)
 
 
 # --- config parsing ---------------------------------------------------------
@@ -157,7 +166,8 @@ def test_zero_run_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, "mode = simulate\nn_per_side = 4\nk = 0.1\nT = 0.5\n")
     assert run_cli(["--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
     lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
-    assert lines[0] == ENERGY_HEADER
+    assert lines[0] == README_ENERGY_HEADER
+    assert f"\n{README_ENERGY_HEADER}\n" in README.read_text(encoding="utf-8")
     assert len(lines) == 6  # header + M_steps levels
     for row in lines[1:]:
         fields = row.split(",")
@@ -218,6 +228,33 @@ def test_decay_study_mode(tmp_path):
     e_col = np.array([float(r.split(",")[2]) for r in rows])
     l_col = np.array([float(r.split(",")[10]) for r in rows])
     assert (l_col > 5.0 * e_col).all()
+
+
+def test_energy_rows_equal_the_api_records(tmp_path):
+    # one decay study through the CLI and through the Python API
+    cfg = write_config(
+        tmp_path,
+        "mode = decay-study\ndomain = square\nn_per_side = 4\n"
+        "c = 1.0\neps_u = 0.5\neps_v = 0.25\nalpha = 1.0\nk = 0.05\nT = 1.0\n"
+        "initial = sine\nrel_tol = 1e-12\nlyapunov_n_weight = 10\nlyapunov_beta = 0.5\n",
+    )
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--out-dir", str(out), "--quiet"]) == 0
+    m = msh.generate_unit_square(4)
+    mass, stiff = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
+    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0,
+                                            k=0.05, T=1.0)
+    tracker = EnergyTracker(mass, stiff, p, LyapunovParams(N_weight=10.0, beta=0.5))
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
+               config=SolverConfig(rel_tol=1e-12), observer=tracker)
+    lines = (out / "energy.csv").read_text().splitlines()
+    assert lines[0] == README_ENERGY_HEADER
+    assert len(lines) - 1 == len(tracker.records) == p.M_steps
+    for row, rec in zip(lines[1:], tracker.records):
+        expected = [rec.n, rec.t, rec.E, rec.kinetic_u, rec.kinetic_v, rec.elastic_u,
+                    rec.elastic_v, rec.coupling, rec.dE, rec.identity_residual, rec.lyapunov]
+        assert [float(x) for x in row.split(",")] == expected
+    assert tracker.records[-1].lyapunov != tracker.records[-1].E
 
 
 def test_decay_study_zero_energy_is_config_error(tmp_path, capsys):

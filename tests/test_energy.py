@@ -47,7 +47,7 @@ def test_lyapunov_frozen_single_dof_example(square2):
     for beta, expected in ((1.0, 47.21875), (2.0, 47.40625)):
         tracker = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(N_weight=10.0, beta=beta))
         tracker(state)
-        assert tracker.lyapunov_values == [pytest.approx(expected, rel=1e-14)]
+        assert [r.lyapunov for r in tracker.records] == [pytest.approx(expected, rel=1e-14)]
 
 
 def test_lyapunov_params_validation():
@@ -95,17 +95,9 @@ def test_dissipation_terms_nonpositive_and_identity_tight():
     )
     assert tracker.max_identity_residual <= 1e-10 * max(tracker.records[0].E, 1.0)
     assert tracker.is_monotone()
-    # re-walk the run to check the sign structure of each summand
-    states = []
-    tracker2 = lambda s: states.append(s)
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
-               config=SolverConfig(rel_tol=1e-14), observer=tracker2)
-    for prev, cur in zip(states, states[1:]):
-        bd = en.dissipation_breakdown(
-            prev.u_prev, cur.u_prev, cur.u_curr,
-            prev.v_prev, cur.v_prev, cur.v_curr,
-            mass, stiff, p,
-        )
+    # the sign structure of each summand, step by step
+    for rec in tracker.records[1:]:
+        bd = rec.dissipation
         for name in (
             "second_difference_u", "second_difference_v",
             "gradient_difference_u", "gradient_difference_v",
@@ -113,6 +105,14 @@ def test_dissipation_terms_nonpositive_and_identity_tight():
         ):
             assert getattr(bd, name) <= 0.0
         assert bd.total <= 0.0
+
+
+def step_residual(mass, stiff, p, prev, cur):
+    """Identity residual a fresh tracker records for the step from prev to cur."""
+    tracker = en.EnergyTracker(mass, stiff, p)
+    tracker(prev)
+    tracker(cur)
+    return tracker.records[1].identity_residual
 
 
 def test_identity_residual_detects_perturbation(square2):
@@ -124,15 +124,9 @@ def test_identity_residual_detects_perturbation(square2):
     op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-15))
     s1 = scheme.State(1, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1))
     s2 = scheme.step(s1, op)
-    clean = en.dissipation_identity_residual(
-        s1.u_prev, s2.u_prev, s2.u_curr, s1.v_prev, s2.v_prev, s2.v_curr,
-        mass, stiff, p,
-    )
+    bumped = scheme.State(2, s2.u_prev, s2.u_curr + 1e-3, s2.v_prev, s2.v_curr)
+    clean, broken = (step_residual(mass, stiff, p, s1, s) for s in (s2, bumped))
     assert clean < 1e-12
-    broken = en.dissipation_identity_residual(
-        s1.u_prev, s2.u_prev, s2.u_curr + 1e-3, s1.v_prev, s2.v_prev, s2.v_curr,
-        mass, stiff, p,
-    )
     assert broken > 1e-6
 
 
@@ -152,24 +146,26 @@ def test_tracker_layout():
     tracker = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(2.0, 0.125))
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=tracker)
     assert len(tracker.records) == p.M_steps
-    assert tracker.dE[0] == 0.0 and tracker.identity_residuals[0] == 0.0
-    assert tracker.records[0].dissipation is None
+    first = tracker.records[0]
+    assert first.dE == 0.0 and first.identity_residual == 0.0
+    assert first.dissipation is None
     assert all(r.dissipation is not None for r in tracker.records[1:])
     assert [r.n for r in tracker.records] == list(range(1, p.M_steps + 1))
-    assert len(tracker.lyapunov_values) == p.M_steps
+    assert tracker.max_identity_residual == max(r.identity_residual for r in tracker.records)
     for i in range(1, len(tracker.records)):
-        assert tracker.dE[i] == tracker.records[i].E - tracker.records[i - 1].E
+        assert tracker.records[i].dE == tracker.records[i].E - tracker.records[i - 1].E
 
     # without Lyapunov parameters the tracked value falls back to E itself
     plain = en.EnergyTracker(mass, stiff, p)
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=plain)
-    assert plain.lyapunov_values == [r.E for r in plain.records]
+    assert [r.lyapunov for r in plain.records] == [r.E for r in plain.records]
 
 
 def synthetic_records(energies, dt=0.1):
     return [
         en.EnergyRecord(n=i + 1, t=(i + 1) * dt, E=e,
-                        kinetic_u=0, kinetic_v=0, elastic_u=e, elastic_v=0, coupling=0)
+                        kinetic_u=0, kinetic_v=0, elastic_u=e, elastic_v=0, coupling=0,
+                        dE=0, identity_residual=0, lyapunov=e)
         for i, e in enumerate(energies)
     ]
 
