@@ -143,6 +143,7 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
                   f"gamma {fit.gamma:.6f} (rms {fit.residual:.4f})")
         else:
             print(f"final energy {summary['final_energy']:.6e}, no decay fit")
+        print(f"solver start: {scheme.solver_start(mass.shape[0], cfg.solver_config)}")
     return 0
 
 
@@ -169,4 +170,6 @@ def _run_convergence(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
     if not args.quiet:
         print(f"wrote {table_path} ({len(report.levels)} levels)")
         print(f"fitted order {report.fitted_order:.4f}")
+        for rec in report.levels:
+            print(f"solver start, level {rec.level}: {rec.start}")
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import assembly, energy
 from .mesh import Mesh, refine_uniform
-from .scheme import SchemeParams, State, run, sine_mode
+from .scheme import SchemeParams, State, run, sine_mode, solver_start
 from .sparse_linalg import SolverConfig, SolverFailure, with_context
 
 
@@ -117,12 +117,14 @@ _CASES = {
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One refinement level: mesh size, time step, and the composite error."""
+    """One refinement level: mesh size, time step, the composite error, and
+    the start its solves took (``scheme.solver_start``)."""
 
     level: int
     h: float
     k: float
     error: float
+    start: str
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,8 @@ def convergence_study(case_name: str, base_mesh: Mesh, base_k: float, levels: in
             err = measure_error(case, mesh, level_params, config)
         except (SolverFailure, ValueError) as exc:
             raise with_context(exc, f"refinement level {level}") from exc
-        records.append(LevelRecord(level=level, h=mesh.h, k=k, error=err))
+        records.append(LevelRecord(level=level, h=mesh.h, k=k, error=err,
+                                   start=solver_start(mesh.n_interior, config or SolverConfig())))
         if level + 1 < levels:
             mesh = refine_uniform(mesh)
     return ErrorReport(levels=records, fitted_order=_fit_order(records))

@@ -21,15 +21,26 @@ side per vertex, solves both N x N blocks in one Jacobi-PCG, and rotates the
 solution back.  Q is orthogonal, so the stopping rule
 ||b - A x|| <= rel_tol ||b|| holds on the coupled system as well.
 
-Every level solves the same matrix with a new right-hand side, so CG starts
-from the Galerkin projection of the new solution onto the span of the last
-two, X = [x_n, x_{n-1}] with stored right-hand sides B ~ A X:
-x0 = X G^{-1} X^T b with G = sym(X^T B) (P. F. Fischer, CMAME 163, 1998).
-The extrapolation 2 x_n - x_{n-1} lies in that span, so the projection's
-A-norm error is no larger; the extrapolation remains the fallback when fewer
-than two solves are stored or G is singular or not finite.  ``method =
-cholesky`` solves the coupled matrix itself, with no projection, which keeps
-the check path independent of the rotation.
+Every level solves the same matrix with a new right-hand side.  On a small
+system, where both N x N block inverses fit in 1 MiB together (N <=
+DENSE_START_MAX_N), the operator inverts each block once per run and CG
+starts from x0 = blockdiag(A_1^{-1}, A_2^{-1}) b.  That start is exact to
+rounding, so CG only verifies it: it computes b - A x0, applies the rel_tol
+rule and iterates only if the start falls short.  The 1 MiB bound keeps the
+memory the inverses add small next to the process's, and they come from
+numpy alone: a sparse factorization would load scipy.sparse.linalg, whose
+import alone adds about 9 MB resident.  A block that does not invert in
+floating point (entries near the ends of the float range) leaves its run on
+the projected start.
+Larger systems start from the Galerkin projection of the new solution onto
+the span of the last two, X = [x_n, x_{n-1}] with stored right-hand sides
+B ~ A X: x0 = X G^{-1} X^T b with G = sym(X^T B) (P. F. Fischer, CMAME 163,
+1998).  The extrapolation 2 x_n - x_{n-1} lies in that span, so the
+projection's A-norm error is no larger; the extrapolation remains the
+fallback when fewer than two solves are stored, G is singular or not
+finite, or a dense start is not finite.  ``method = cholesky`` solves the
+coupled matrix itself, with neither start, which keeps the check path
+independent of the rotation.
 """
 
 from __future__ import annotations
@@ -52,6 +63,14 @@ from .sparse_linalg import SolverConfig, SolverFailure, jacobi_inverse, solve_sp
 # on the finest mms-ladder level, projecting below 1e-10 took more CG
 # iterations than extrapolating
 GRAM_TOL = 1e-10
+
+# CG starts from the exact dense solve when both N x N block inverses take at
+# most 1 MiB (2 N^2 doubles), that is N <= 256.  At N = 225 the build takes
+# about 20 ms once per run and the start about 30 us per step, where the
+# projected start left CG 7-8 Jacobi iterations of about 30 us each.  The
+# inverses' memory grows as N^2 and their build as N^3; at N = 961 they would
+# hold 15 MB, a quarter of the whole process
+DENSE_START_MAX_N = 256
 
 
 @dataclass(frozen=True)
@@ -146,9 +165,10 @@ class BlockOperator:
     ``decoupled`` holds 2 nnz(M) entries against the coupled matrix's
     4 nnz(M).  The coupled matrix is built on first access only; the CG path
     never touches it.  The operator also owns what CG reuses from solve to
-    solve: the Jacobi preconditioner ``inv_diag`` and the last two rotated
-    (solution, right-hand side) pairs.  That history belongs to one chain of
-    ``step`` calls, so every run builds its own operator.
+    solve: the Jacobi preconditioner ``inv_diag`` and either the dense block
+    inverses ``inverse`` (N <= DENSE_START_MAX_N, method cg) or the last two
+    rotated (solution, right-hand side) pairs.  That history belongs to one
+    chain of ``step`` calls, so every run builds its own operator.
     """
 
     def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams,
@@ -167,6 +187,10 @@ class BlockOperator:
         self.config = config or SolverConfig()
         self._stiffness = stiffness
         self.n_field = mass.shape[0]
+        # (2, N, N) on small systems, else None; None too when a block does
+        # not invert in floating point, which leaves the run projected
+        self.inverse = (_block_inverses(self.decoupled, self.n_field)
+                        if _dense_start(self.n_field, self.config) else None)
         self._history = []  # up to two (x, b, x . b), newest first, rotated coordinates
         self._tip = None  # the state whose level x is the newest solution
 
@@ -184,6 +208,12 @@ class BlockOperator:
     def inv_diag(self) -> np.ndarray:
         """The Jacobi preconditioner of ``decoupled``, computed once per run."""
         return jacobi_inverse(self.decoupled)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def dense_guess(self, b: np.ndarray) -> np.ndarray | None:
+        """x0 = blockdiag(A_1^{-1}, A_2^{-1}) b, or None when it is not finite."""
+        guess = (self.inverse @ b.reshape(2, self.n_field, 1)).ravel()
+        return guess if np.isfinite(guess).all() else None
 
     # an overflowing Gram product fails the tests below instead of warning
     @np.errstate(over="ignore", invalid="ignore")
@@ -230,9 +260,10 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
          f_v: np.ndarray | None = None) -> State:
     """Advance one time level with the run's operator ``op``.
 
-    CG solves the decoupled system, started from ``op.projected_guess`` or,
-    failing that, from the extrapolation 2 x_n - x_{n-1}; ``method =
-    cholesky`` solves the coupled matrix.  f_u, f_v are already-assembled
+    CG solves the decoupled system, started from ``op.dense_guess`` on a
+    small system, else from ``op.projected_guess``, and failing either, from
+    the extrapolation 2 x_n - x_{n-1}; ``method = cholesky`` solves the
+    coupled matrix.  f_u, f_v are already-assembled
     load vectors for the target level (or None for the homogeneous problem).
     """
     params, mass = op.params, op.mass
@@ -251,14 +282,60 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
         return State(state.n + 1, state.u_curr, solution[:n], state.v_curr, solution[n:])
     q = op.rotation
     b = np.concatenate(_rotate(q.T, rhs_u, rhs_v))
-    x0 = op.projected_guess(state, b)
+    dense = op.inverse is not None
+    x0 = op.dense_guess(b) if dense else op.projected_guess(state, b)
     if x0 is None:
         x0 = np.concatenate(_rotate(q.T, guess_u, guess_v))
     x = solve_spd(op.decoupled, b, op.config, x0=x0, inv_diag=op.inv_diag)
     u_new, v_new = _rotate(q, x[:n], x[n:])
     new = State(state.n + 1, state.u_curr, u_new, state.v_curr, v_new)
-    op.record(x, b, new)
+    if not dense:
+        op.record(x, b, new)
     return new
+
+
+def solver_start(n_field: int, config: SolverConfig) -> str:
+    """Name the start a run's solves take on N = ``n_field``, as the CLI reports it."""
+    if config.method == "cholesky":
+        return f"none (method = cholesky solves the coupled matrix, 2N = {2 * n_field})"
+    route = "dense inverse" if _dense_start(n_field, config) else "projected"
+    return f"{route} (2 blocks of N = {n_field})"
+
+
+def _dense_start(n_field: int, config: SolverConfig) -> bool:
+    return config.method == "cg" and n_field <= DENSE_START_MAX_N
+
+
+# a nonpositive pivot or an overflow returns None instead of warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _block_inverses(decoupled: sp.csr_matrix, n: int) -> np.ndarray | None:
+    """The inverses of both N x N diagonal blocks of ``decoupled``, shape (2, N, N).
+
+    Each comes from the Cholesky factor L, computed in place, and the inverse
+    of L, row by row: A^{-1} = L^{-T} L^{-1}.  Only matrix-vector products
+    are used, so the build maps no LAPACK or matrix-matrix kernels (they
+    cost more resident memory than the 2 N^2 doubles kept).  None when a
+    pivot is not positive or an entry not finite.
+    """
+    inverses = np.empty((2, n, n))
+    linv = np.zeros((n, n))
+    for block, out in enumerate(inverses):
+        span = slice(block * n, (block + 1) * n)
+        a = decoupled[span, span].toarray()  # becomes L in its lower triangle
+        for j in range(n):
+            pivot = a[j, j] - a[j, :j] @ a[j, :j]
+            if not pivot > 0.0:
+                return None
+            a[j, j] = math.sqrt(pivot)
+            a[j + 1:, j] = (a[j + 1:, j] - a[j + 1:, :j] @ a[j, :j]) / a[j, j]
+        for i in range(n):
+            row = -(a[i, :i] @ linv[:i])
+            row[i] += 1.0
+            linv[i] = row / a[i, i]
+        # L^{-1} is lower triangular, so row i of L^{-T} L^{-1} sums rows i.. of it
+        for i in range(n):
+            out[i] = linv[i:, i] @ linv[i:]
+    return inverses if np.isfinite(inverses).all() else None
 
 
 def _rotate(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:

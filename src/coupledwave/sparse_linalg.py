@@ -5,7 +5,14 @@ preconditioned conjugate gradient (the production path, matrix-free except
 for the diagonal, started from the caller's guess or from zero) and a dense
 Cholesky factorization via scipy (the check path).  Tests compare them
 against each other, so neither should be folded into the other.  scipy.linalg
-is imported by the Cholesky branch only, so the CG path never loads it.
+is imported by the Cholesky branch only, so the CG path never loads it, and
+neither route loads scipy.sparse.linalg.
+
+CG is also the verifier of every start it is given.  On small systems the
+scheme starts it from an exact dense solve (``scheme.DENSE_START_MAX_N``);
+CG still computes b - A x0 and applies the stopping rule, so such a solve
+returns after 0 iterations and a start that falls short is iterated on, with
+every failure below still raised.
 """
 
 from __future__ import annotations

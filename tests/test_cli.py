@@ -286,6 +286,28 @@ def test_convergence_mode_table(tmp_path):
     assert all(o > 0.9 for o in orders)
 
 
+def test_closing_lines_name_the_solver_start(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, SINE_CONFIG)
+    assert run_cli(["--config", cfg, "--out-dir", str(tmp_path / "a")]) == 0
+    assert "solver start: dense inverse (2 blocks of N = 9)\n" in capsys.readouterr().out
+    monkeypatch.setattr(scheme, "DENSE_START_MAX_N", 8)
+    assert run_cli(["--config", cfg, "--out-dir", str(tmp_path / "b")]) == 0
+    assert "solver start: projected (2 blocks of N = 9)\n" in capsys.readouterr().out
+    # the route is reported, never written: the files keep their layout
+    for name in ("energy.csv", "summary.json"):
+        assert "start" not in (tmp_path / "a" / name).read_text()
+    levels = write_config(
+        tmp_path,
+        "mode = convergence\ndomain = interval\nn_per_side = 8\nlevels = 3\n"
+        "case = separable-decay-1d\nk = 0.1\nT = 1.0\n", name="levels.cfg",
+    )
+    # N = 7, 15, 31 across the levels, against the bound of 8 still in place
+    assert run_cli(["--config", levels, "--out-dir", str(tmp_path / "c")]) == 0
+    out = capsys.readouterr().out
+    assert "solver start, level 0: dense inverse (2 blocks of N = 7)\n" in out
+    assert "solver start, level 2: projected (2 blocks of N = 31)\n" in out
+
+
 def test_domain_from_mesh_file(tmp_path):
     mesh_path = tmp_path / "square.mesh"
     msh.write_mesh(msh.generate_unit_square(3), mesh_path)
@@ -407,7 +429,7 @@ def test_exit_code_bad_mesh_file(tmp_path, capsys, text, fragment):
     assert fragment in err and "Traceback" not in err
 
 
-def test_exit_code_solver_failure(tmp_path, capsys):
+def test_exit_code_solver_failure(tmp_path, capsys, projected_start):
     cfg = write_config(
         tmp_path,
         SINE_CONFIG + "max_iter = 1\nrel_tol = 1e-14\n",
@@ -438,9 +460,12 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # only the Cholesky route needs scipy.linalg; the CG path never loads it
+    # only the Cholesky route needs scipy.linalg; the CG path never loads it.
+    # scipy.sparse.linalg (about 9 MB resident) stays unloaded too: the dense
+    # start's inverses come from numpy alone
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    code = "import sys, coupledwave.cli; print('scipy.linalg' in sys.modules)"
+    code = ("import sys, coupledwave.cli; "
+            "print(any(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,

@@ -7,6 +7,7 @@ from coupledwave import assembly as asm
 from coupledwave import energy as en
 from coupledwave import mesh as msh
 from coupledwave import scheme
+from coupledwave.sparse_linalg import SolverConfig
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +204,25 @@ def test_fit_insufficient_data():
         en.fit_decay_rate(synthetic_records([0.0] * 12))
     with pytest.raises(ValueError, match="window"):
         en.fit_decay_rate(synthetic_records([1.0] * 12), window=0.0)
+
+
+def test_dense_start_keeps_identity_at_rounding_floor_at_loose_tolerance(monkeypatch):
+    # the residual is |r . dx| plus rounding; the dense start leaves r at
+    # rounding level whatever rel_tol allows, so the identity stays exact
+    m = msh.generate_unit_square(16)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0,
+                                            k=0.01, T=0.5)
+    loose = SolverConfig(rel_tol=1e-4)
+
+    def max_residual():
+        tracker = en.EnergyTracker(mass, stiff, p)
+        scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), config=loose,
+                   observer=tracker)
+        return tracker.max_identity_residual, tracker.records[0].E
+
+    residual, e0 = max_residual()
+    assert residual <= 1e-13 * max(e0, 1.0)
+    # the projected start at the same tolerance stops where rel_tol lets it
+    monkeypatch.setattr(scheme, "DENSE_START_MAX_N", 0)
+    assert max_residual()[0] > 1e-6 * max(e0, 1.0)

@@ -218,7 +218,7 @@ def test_time_refinement_alone_halves_error_at_fine_h():
         assert 1.6 <= r <= 2.4, ratios
 
 
-def test_study_propagates_solver_failure_with_level():
+def test_study_propagates_solver_failure_with_level(projected_start):
     p = make_params()
     cfg = SolverConfig(rel_tol=1e-14, max_iter=1)
     with pytest.raises(SolverFailure, match="refinement level 0"):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from coupledwave import assembly as asm
 from coupledwave import mesh as msh
-from coupledwave import scheme
+from coupledwave import scheme, sparse_linalg
 from coupledwave.sparse_linalg import SolverConfig, SolverFailure, solve_spd
 
 # criterion 6's damping grid plus equal nonzero damping
@@ -222,7 +222,7 @@ def test_run_observer_sees_every_level():
     assert seen == list(range(1, p.M_steps + 1))
 
 
-def test_run_reports_failing_step():
+def test_run_reports_failing_step(projected_start):
     m = msh.generate_unit_square(4)
     p = params_for(k=0.001, T=0.01)
     cfg = SolverConfig(rel_tol=1e-14, max_iter=1)
@@ -283,7 +283,7 @@ def recording_solves(monkeypatch):
     return calls
 
 
-def test_projected_guess_is_no_worse_than_extrapolation(monkeypatch):
+def test_projected_guess_is_no_worse_than_extrapolation(monkeypatch, projected_start):
     m = jittered_square(10, seed=3)
     p = params_for(k=0.02, T=0.4, eps_u=0.5, eps_v=0.25)
     mass, stiff = matrices(m)
@@ -309,7 +309,7 @@ def test_projected_guess_is_no_worse_than_extrapolation(monkeypatch):
     assert projected == len(calls) - 2
 
 
-def test_rest_state_never_builds_a_nan_guess(monkeypatch):
+def test_rest_state_never_builds_a_nan_guess(monkeypatch, projected_start):
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=0.6)
     mass, stiff = matrices(m)
@@ -361,7 +361,7 @@ def test_projection_declines_nearly_parallel_solutions():
     assert op.projected_guess(state, np.ones(op.decoupled.shape[0])) is None
 
 
-def test_projection_applies_only_to_the_state_it_recorded():
+def test_projection_applies_only_to_the_state_it_recorded(projected_start):
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=1.0, eps_u=0.5)
     op = scheme.BlockOperator(*matrices(m), p)
@@ -374,7 +374,7 @@ def test_projection_applies_only_to_the_state_it_recorded():
     assert op.projected_guess(copy, b) is None
 
 
-def test_runs_in_one_process_do_not_share_history():
+def test_runs_in_one_process_do_not_share_history(projected_start):
     square, interval = msh.generate_unit_square(5), msh.generate_unit_interval(9)
     p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
     preset = scheme.initial_preset("sine-opposed")
@@ -413,3 +413,83 @@ def test_inverse_diagonal_computed_once_per_run(monkeypatch):
     inv_diag = calls[0][2]
     assert inv_diag is not None and all(c[2] is inv_diag for c in calls)
     assert len(diagonals) == 1
+
+
+def counting_iterations(monkeypatch):
+    """Record the iteration count of every CG solve."""
+    iterations = []
+    cg = sparse_linalg.cg_jacobi
+
+    def counted(*args, **kwargs):
+        x, it, res = cg(*args, **kwargs)
+        iterations.append(it)
+        return x, it, res
+
+    monkeypatch.setattr(sparse_linalg, "cg_jacobi", counted)
+    return iterations
+
+
+def square16():
+    m = msh.generate_unit_square(16)
+    return m, params_for(k=0.01, T=0.2, eps_u=0.5, eps_v=0.25), *matrices(m)
+
+
+def test_dense_start_matches_cholesky_without_iterating(monkeypatch):
+    m, p, mass, stiff = square16()
+    op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-12))
+    check = scheme.BlockOperator(mass, stiff, p, SolverConfig(method="cholesky"))
+    assert op.n_field == 225 and op.inverse is not None and check.inverse is None
+    iterations = counting_iterations(monkeypatch)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
+    for _ in range(p.M_steps - 1):
+        new, expected = scheme.step(state, op), scheme.step(state, check)
+        np.testing.assert_allclose(new.u_curr, expected.u_curr, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(new.v_curr, expected.v_curr, rtol=0, atol=1e-13)
+        state = new
+    # CG computed b - A x0 on every solve and found nothing to do
+    assert iterations == [0] * (p.M_steps - 1)
+    assert op._history == []
+
+
+def test_dense_start_only_within_its_bound(monkeypatch):
+    m, p, mass, stiff = square16()
+    monkeypatch.setattr(scheme, "DENSE_START_MAX_N", 225)
+    dense = scheme.BlockOperator(mass, stiff, p)
+    assert dense.inverse is not None
+    assert scheme.solver_start(225, SolverConfig()) == "dense inverse (2 blocks of N = 225)"
+    monkeypatch.setattr(scheme, "DENSE_START_MAX_N", 224)
+    op = scheme.BlockOperator(mass, stiff, p)
+    assert op.inverse is None
+    assert scheme.solver_start(225, SolverConfig()) == "projected (2 blocks of N = 225)"
+    calls = recording_solves(monkeypatch)
+    states = [scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))]
+    for _ in range(4):
+        states.append(scheme.step(states[-1], op))
+    q = op.rotation
+    for state, (b, x0, _) in zip(states[2:4], calls[2:]):
+        extrapolated = np.concatenate(scheme._rotate(
+            q.T, 2.0 * state.u_curr - state.u_prev, 2.0 * state.v_curr - state.v_prev))
+        # the projection over the recorded history, neither extrapolated nor dense
+        assert not np.array_equal(x0, extrapolated)
+        assert not np.array_equal(x0, dense.dense_guess(b))
+    assert op.projected_guess(states[-1], calls[-1][0]) is not None
+
+
+def test_dense_start_short_of_tolerance_still_iterates(monkeypatch):
+    m, p, mass, stiff = square16()
+    start = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    expected = scheme.step(start, scheme.BlockOperator(
+        mass, stiff, p, SolverConfig(method="cholesky")))
+    iterations = counting_iterations(monkeypatch)
+
+    def scaled_start(config):
+        op = scheme.BlockOperator(mass, stiff, p, config)
+        op.inverse = (1.0 + 1e-6) * op.inverse  # a start 1e-6 off in relative residual
+        return op
+
+    new = scheme.step(start, scaled_start(SolverConfig(rel_tol=1e-12)))
+    assert iterations[-1] > 0
+    np.testing.assert_allclose(new.u_curr, expected.u_curr, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(new.v_curr, expected.v_curr, rtol=0, atol=1e-11)
+    with pytest.raises(SolverFailure, match="in 1 iterations"):
+        scheme.step(start, scaled_start(SolverConfig(rel_tol=1e-12, max_iter=1)))
