@@ -1,22 +1,26 @@
 """Discrete energy diagnostics for scheme trajectories.
 
-The energy of a level pair (n, n+1) is
+The energy of a level pair (n-1, n) is
 
     E = 1/2 [ |du|_M^2 + |dv|_M^2 + c^2 |u|_K^2 + c^2 |v|_K^2
               + alpha |u - v|_M^2 ]
 
-with du = (u_new - u_cur)/k and the displacement terms taken at the upper
-level.  Along exact solves of the implicit scheme E never grows; the drop
-E_new - E_old decomposes into seven nonpositive terms, and the gap between
-the drop and that sum (the identity residual) measures nothing but solver
-and rounding noise.  The Lyapunov value adds a velocity-displacement cross
+with du = (u_n - u_{n-1})/k and the displacement terms taken at level n:
+five terms 1/2 weight a.(P a), P = M or K.  Along exact solves of the
+implicit scheme E never grows: the drop E_n - E_{n-1} is the sum of seven
+nonpositive terms, in difference form.  Five are the energy's own terms
+taken on the step's increments, -1/2 weight (a_n - a_{n-1}).(P a_n - P a_{n-1});
+the two friction terms are -2 eps k times the new kinetic terms.  The gap
+between the drop and that sum (the identity residual) is |r . dx| plus
+rounding, where r = b - A x is the step solve's residual and dx the step's
+increment of [u; v].  The Lyapunov value adds a velocity-displacement cross
 term and is reported for monitoring, not enforced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,64 +98,53 @@ class DecayFit:
     residual: float
 
 
-def _quad(matrix, x: np.ndarray) -> float:
-    return float(x @ (matrix @ x))
+@np.errstate(over="ignore", invalid="ignore")
+def _terms(state: State, mass, stiffness, params: SchemeParams):
+    """The five (weight, a, P a) of a state's level pair, their parts
+    1/2 weight a.(P a) and E, their sum; ValueError when E is not finite."""
+    du = (state.u_curr - state.u_prev) / params.k
+    dv = (state.v_curr - state.v_prev) / params.k
+    w = state.u_curr - state.v_curr
+    terms = ((1.0, du, mass @ du), (1.0, dv, mass @ dv),
+             (params.c**2, state.u_curr, stiffness @ state.u_curr),
+             (params.c**2, state.v_curr, stiffness @ state.v_curr),
+             (params.alpha, w, mass @ w))
+    parts = tuple(0.5 * weight * float(a @ pa) for weight, a, pa in terms)
+    E = sum(parts)
+    if not math.isfinite(E):
+        raise ValueError(f"energy {E!r} at level {state.n} is not finite")
+    return terms, parts, E
 
 
 def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
     """EnergyRecord of a state's level pair (n-1, n), stamped with level n.
 
     The record describes no step: dE and identity_residual are 0.0 and
-    lyapunov is E.
+    lyapunov is E.  A non-finite E raises ValueError.
     """
-    k = params.k
-    du = (state.u_curr - state.u_prev) / k
-    dv = (state.v_curr - state.v_prev) / k
-    parts = (
-        0.5 * _quad(mass, du),
-        0.5 * _quad(mass, dv),
-        0.5 * params.c**2 * _quad(stiffness, state.u_curr),
-        0.5 * params.c**2 * _quad(stiffness, state.v_curr),
-        0.5 * params.alpha * _quad(mass, state.u_curr - state.v_curr),
+    _, parts, E = _terms(state, mass, stiffness, params)
+    return EnergyRecord(state.n, state.n * params.k, E, *parts, dE=0.0, identity_residual=0.0,
+                        lyapunov=E)
+
+
+def _dissipation(old_terms, terms, parts, params: SchemeParams) -> DissipationBreakdown:
+    """The step's seven terms from two consecutive levels' ``_terms``: the five
+    terms on the increments, and friction from the new kinetic parts."""
+    second_u, second_v, gradient_u, gradient_v, coupling = (
+        -0.5 * weight * float((a - a_old) @ (pa - pa_old))
+        for (weight, a, pa), (_, a_old, pa_old) in zip(terms, old_terms)
     )
-    E = sum(parts)
-    return EnergyRecord(state.n, state.n * k, E, *parts, dE=0.0, identity_residual=0.0, lyapunov=E)
-
-
-def _dissipation(old_state: State, new_state: State, mass, stiffness,
-                 params: SchemeParams) -> DissipationBreakdown:
-    """Seven dissipation terms for the step from old_state's level pair to new_state's."""
-    u_old, u_mid, u_new = old_state.u_prev, new_state.u_prev, new_state.u_curr
-    v_old, v_mid, v_new = old_state.v_prev, new_state.v_prev, new_state.v_curr
-    k = params.k
-    ddu = (u_new - 2.0 * u_mid + u_old) / k
-    ddv = (v_new - 2.0 * v_mid + v_old) / k
-    du, dv = u_new - u_mid, v_new - v_mid
-    dw = (u_new - v_new) - (u_mid - v_mid)
-    return DissipationBreakdown(
-        second_difference_u=-0.5 * _quad(mass, ddu),
-        second_difference_v=-0.5 * _quad(mass, ddv),
-        gradient_difference_u=-0.5 * params.c**2 * _quad(stiffness, du),
-        gradient_difference_v=-0.5 * params.c**2 * _quad(stiffness, dv),
-        friction_u=-(params.eps_u / k) * _quad(mass, du),
-        friction_v=-(params.eps_v / k) * _quad(mass, dv),
-        coupling_difference=-0.5 * params.alpha * _quad(mass, dw),
-    )
-
-
-def _lyapunov(E: float, state: State, mass, params: SchemeParams, lp: LyapunovParams) -> float:
-    """N_weight * E plus the beta-weighted velocity-displacement cross terms."""
-    du = (state.u_curr - state.u_prev) / params.k
-    dv = (state.v_curr - state.v_prev) / params.k
-    cross = float(du @ (mass @ state.u_curr)) + float(dv @ (mass @ state.v_curr))
-    return lp.N_weight * E + lp.beta * cross
+    return DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
+                                -2.0 * params.eps_u * params.k * parts[0],
+                                -2.0 * params.eps_v * params.k * parts[1], coupling)
 
 
 class EnergyTracker:
     """Run observer that keeps one EnergyRecord per level, step diagnostics included.
 
-    Lyapunov values are tracked when parameters are supplied.  A level whose
-    energy or Lyapunov value is not finite raises ValueError.
+    Each level takes five sparse products, once; the step's dissipation
+    reuses the previous level's.  Lyapunov values are tracked when parameters
+    are supplied.  A non-finite energy or Lyapunov value raises ValueError.
     """
 
     def __init__(self, mass, stiffness, params: SchemeParams, lyapunov_params=None):
@@ -160,27 +153,29 @@ class EnergyTracker:
         self.params = params
         self.lyapunov_params = lyapunov_params
         self.records: list = []
-        self._last_state: State | None = None
+        self._last = None  # (state, terms) of the last level observed
 
     def __call__(self, state: State) -> None:
-        rec = energy(state, self.mass, self.stiffness, self.params)
-        lyap = rec.E
-        if self.lyapunov_params is not None:
-            lyap = _lyapunov(rec.E, state, self.mass, self.params, self.lyapunov_params)
-        if not (math.isfinite(rec.E) and math.isfinite(lyap)):
-            raise ValueError(f"energy {rec.E!r} or Lyapunov value {lyap!r} "
-                             f"at level {state.n} is not finite")
-        step = {}
-        prev = self._last_state
-        if prev is not None:
-            if prev.n != state.n - 1 or not np.array_equal(prev.u_curr, state.u_prev):
+        terms, parts, E = _terms(state, self.mass, self.stiffness, self.params)
+        lyap, lp = E, self.lyapunov_params
+        if lp is not None:
+            # M is symmetric, so the cross term du.(M u) + dv.(M v) = u.(M du) + v.(M dv)
+            cross = float(state.u_curr @ terms[0][2]) + float(state.v_curr @ terms[1][2])
+            lyap = lp.N_weight * E + lp.beta * cross
+            if not math.isfinite(lyap):
+                raise ValueError(f"Lyapunov value {lyap!r} at level {state.n} is not finite")
+        dE, residual, breakdown = 0.0, 0.0, None
+        if self._last is not None:
+            prev, old_terms = self._last
+            if (prev.n != state.n - 1 or not np.array_equal(prev.u_curr, state.u_prev)
+                    or not np.array_equal(prev.v_curr, state.v_prev)):
                 raise ValueError("tracker must observe consecutive states of one run")
-            breakdown = _dissipation(prev, state, self.mass, self.stiffness, self.params)
-            drop = rec.E - self.records[-1].E
-            step = dict(dE=drop, identity_residual=abs(drop - breakdown.total),
-                        dissipation=breakdown)
-        self.records.append(replace(rec, lyapunov=lyap, **step))
-        self._last_state = state
+            breakdown = _dissipation(old_terms, terms, parts, self.params)
+            dE = E - self.records[-1].E
+            residual = abs(dE - breakdown.total)
+        self.records.append(EnergyRecord(state.n, state.n * self.params.k, E, *parts, dE,
+                                         residual, lyap, breakdown))
+        self._last = (state, terms)
 
     @property
     def max_identity_residual(self) -> float:

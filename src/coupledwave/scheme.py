@@ -178,7 +178,7 @@ class BlockOperator:
         lam, self.rotation = np.linalg.eigh(damping)
         # c^2 K can overflow on a fine mesh although c^2 itself is finite
         with np.errstate(over="ignore", invalid="ignore"):
-            shared = (1.0 / k**2 + alpha) * mass + params.c**2 * stiffness
+            shared = (1.0 / (k * k) + alpha) * mass + params.c**2 * stiffness
             self.decoupled = sp.block_diag([shared + lam_i * mass for lam_i in lam], format="csr")
         if not np.isfinite(self.decoupled.data).all():
             raise ValueError(f"c = {params.c!r} is out of range: the step matrix "
@@ -199,8 +199,8 @@ class BlockOperator:
         """The coupled 2N x 2N matrix, for ``method = cholesky`` and checks."""
         mass, stiffness, params = self.mass, self._stiffness, self.params
         k, c, alpha = params.k, params.c, params.alpha
-        diag_u = mass / k**2 + (params.eps_u / k) * mass + c**2 * stiffness + alpha * mass
-        diag_v = mass / k**2 + (params.eps_v / k) * mass + c**2 * stiffness + alpha * mass
+        diag_u = mass / (k * k) + (params.eps_u / k) * mass + c**2 * stiffness + alpha * mass
+        diag_v = mass / (k * k) + (params.eps_v / k) * mass + c**2 * stiffness + alpha * mass
         coupling = -alpha * mass
         return sp.bmat([[diag_u, coupling], [coupling, diag_v]], format="csr")
 
@@ -270,8 +270,8 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
     k = params.k
     guess_u = 2.0 * state.u_curr - state.u_prev
     guess_v = 2.0 * state.v_curr - state.v_prev
-    rhs_u = mass @ (guess_u / k**2 + (params.eps_u / k) * state.u_curr)
-    rhs_v = mass @ (guess_v / k**2 + (params.eps_v / k) * state.v_curr)
+    rhs_u = mass @ (guess_u / (k * k) + (params.eps_u / k) * state.u_curr)
+    rhs_v = mass @ (guess_v / (k * k) + (params.eps_v / k) * state.v_curr)
     if f_u is not None:
         rhs_u = rhs_u + f_u
     if f_v is not None:

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the closed-form element formulas in the
 package: barycentric bases are recovered by solving small linear systems and
 integrals use explicit Gauss rules, so agreement with the package is a real
-cross-check rather than the same code evaluated twice.
+cross-check rather than the same code evaluated twice.  The dissipation terms
+of a step are taken directly from its three levels, where the package derives
+them from the increments of each level's energy terms.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from coupledwave import mesh as msh
 
 # Midpoint rule on the three edges: exact for quadratics on a triangle.
 _TRI_POINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -111,3 +115,41 @@ def fd_laplacian(fn, point: np.ndarray, delta: float = 0.01) -> float:
             shifted[axis] += oi * delta
             total += wi * fn(shifted)
     return total / (delta * delta)
+
+
+def jittered_square(n: int, seed: int) -> msh.Mesh:
+    """The n x n unit square with each interior vertex moved by up to 0.15 h."""
+    base = msh.generate_unit_square(n)
+    rng = np.random.default_rng(seed)
+    vertices = base.vertices.copy()
+    interior = ~base.boundary_flags
+    vertices[interior] += rng.uniform(-0.15 / n, 0.15 / n, size=(int(interior.sum()), 2))
+    h = float(msh.cell_diameters(vertices, base.cells).max())
+    jittered = msh.Mesh(2, vertices, base.cells.copy(), base.boundary_flags.copy(), h)
+    msh.validate(jittered)
+    return jittered
+
+
+def dissipation_terms(old_state, new_state, mass, stiffness, params) -> dict:
+    """The seven dissipation terms of the step from old_state to new_state.
+
+    Each is one quadratic form of a difference of the three levels involved:
+    the second differences, the increments of u, v and u - v, and friction
+    as eps / k times the squared M-norm of the increment.
+    """
+    def quad(matrix, x):
+        return float(x @ (matrix @ x))
+
+    u_old, u_mid, u_new = old_state.u_prev, new_state.u_prev, new_state.u_curr
+    v_old, v_mid, v_new = old_state.v_prev, new_state.v_prev, new_state.v_curr
+    k, c2 = params.k, params.c**2
+    du, dv = u_new - u_mid, v_new - v_mid
+    return {
+        "second_difference_u": -0.5 * quad(mass, (u_new - 2.0 * u_mid + u_old) / k),
+        "second_difference_v": -0.5 * quad(mass, (v_new - 2.0 * v_mid + v_old) / k),
+        "gradient_difference_u": -0.5 * c2 * quad(stiffness, du),
+        "gradient_difference_v": -0.5 * c2 * quad(stiffness, dv),
+        "friction_u": -(params.eps_u / k) * quad(mass, du),
+        "friction_v": -(params.eps_v / k) * quad(mass, dv),
+        "coupling_difference": -0.5 * params.alpha * quad(mass, (u_new - v_new) - (u_mid - v_mid)),
+    }

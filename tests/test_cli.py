@@ -377,6 +377,12 @@ def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
         ("mode = convergence\ndomain = interval\nn_per_side = 4\ncase = separable-decay-1d\n"
          "c = 2e153\neps_u = 0.5\neps_v = 0.25\nalpha = 1.0\nk = 0.1\nT = 0.2\nlevels = 3\n",
          "refinement level 2: advancing to level 2 (t = 0.05) failed: the solve overflowed"),
+        # the error energy of the startup level overflows although each error is finite
+        ("mode = convergence\nk = 1e154\nT = 4e154\nlevels = 3\nn_per_side = 2\n",
+         "refinement level 0: energy inf at level 1 is not finite"),
+        # k^2 overflows, so 1/k^2 is 0, and the error energy overflows
+        ("mode = convergence\nk = 1e200\nT = 2e200\n",
+         "refinement level 0: energy inf at level 1 is not finite"),
     ],
 )
 def test_exit_code_overflow_in_step_system(tmp_path, capsys, text, fragment):
@@ -388,6 +394,19 @@ def test_exit_code_overflow_in_step_system(tmp_path, capsys, text, fragment):
     assert fragment in err and "Traceback" not in err and "solver failed" not in err
     assert "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("initial", ["zero", "sine"])
+def test_huge_time_step_runs(tmp_path, capsys, initial):
+    # k^2 overflows, so the step takes 1/k^2 as 0; every output stays finite
+    cfg = write_config(tmp_path, f"mode = simulate\nk = 1e200\nT = 2e200\ninitial = {initial}\n")
+    out = tmp_path / "o"
+    assert run_cli(["--config", cfg, "--out-dir", str(out)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    rows = (out / "energy.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    assert json.loads((out / "summary.json").read_text())["monotone"] is True
 
 
 def test_exit_code_missing_mesh_file(tmp_path, capsys):

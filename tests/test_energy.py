@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from coupledwave import assembly as asm
 from coupledwave import energy as en
 from coupledwave import mesh as msh
@@ -138,6 +139,88 @@ def test_tracker_rejects_non_consecutive_states(square2):
     tracker(scheme.State(1, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1)))
     with pytest.raises(ValueError, match="consecutive"):
         tracker(scheme.State(3, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1)))
+    # the next level continues u but not v
+    with pytest.raises(ValueError, match="consecutive"):
+        tracker(scheme.State(2, np.ones(1), np.ones(1), np.ones(1), np.zeros(1)))
+    # the one level that continues both is accepted
+    tracker(scheme.State(2, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1)))
+    assert [r.n for r in tracker.records] == [1, 2]
+
+
+@pytest.mark.parametrize("eps_u,eps_v", [(0.0, 0.0), (0.5, 0.25)])
+def test_dissipation_terms_match_the_two_state_oracle(eps_u, eps_v):
+    m = oracles.jittered_square(8, seed=5)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=eps_u, eps_v=eps_v, alpha=1.0,
+                                            k=0.02, T=0.4)
+    states = []
+    tracker = en.EnergyTracker(mass, stiff, p)
+
+    def observe(state):
+        states.append(state)
+        tracker(state)
+
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=observe)
+    tol = 1e-13 * max(tracker.records[0].E, 1.0)
+    for old, new, rec in zip(states, states[1:], tracker.records[1:]):
+        for name, expected in oracles.dissipation_terms(old, new, mass, stiff, p).items():
+            assert abs(getattr(rec.dissipation, name) - expected) <= tol, (rec.n, name)
+
+
+def test_identity_residual_is_the_solve_residual_on_the_projected_start(projected_start):
+    # |r . dx| with r = b - A x on the coupled matrix and dx the step's increment
+    m = msh.generate_unit_square(8)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0,
+                                            k=0.01, T=0.3)
+    op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-4))
+    tracker = en.EnergyTracker(mass, stiff, p)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    tracker(state)
+    k = p.k
+    expected = []
+    while state.n < p.M_steps:
+        new = scheme.step(state, op)
+        tracker(new)
+        b = np.concatenate([
+            mass @ ((2.0 * state.u_curr - state.u_prev) / (k * k) + (p.eps_u / k) * state.u_curr),
+            mass @ ((2.0 * state.v_curr - state.v_prev) / (k * k) + (p.eps_v / k) * state.v_curr),
+        ])
+        x = np.concatenate([new.u_curr, new.v_curr])
+        dx = x - np.concatenate([state.u_curr, state.v_curr])
+        expected.append(abs(float((b - op.matrix @ x) @ dx)))
+        state = new
+    scale = max(tracker.records[0].E, 1.0)
+    residuals = [r.identity_residual for r in tracker.records[1:]]
+    # the solver term is far above rounding, so the match is not trivial
+    assert max(residuals) > 1e-6 * scale
+    for got, want in zip(residuals, expected):
+        assert abs(got - want) <= 1e-13 * scale
+
+
+class CountingMatrix:
+    """A matrix that counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+def test_tracker_takes_five_products_per_level():
+    m = msh.generate_unit_square(6)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0,
+                                            k=0.05, T=0.5)
+    counted = CountingMatrix(mass), CountingMatrix(stiff)
+    tracker = en.EnergyTracker(*counted, p, en.LyapunovParams(N_weight=2.0, beta=0.5))
+    reference = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(N_weight=2.0, beta=0.5))
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
+               observer=lambda state: (tracker(state), reference(state)))
+    assert (counted[0].products, counted[1].products) == (3 * p.M_steps, 2 * p.M_steps)
+    assert tracker.records == reference.records
 
 
 def test_tracker_layout():

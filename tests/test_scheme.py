@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
+
 from coupledwave import assembly as asm
 from coupledwave import mesh as msh
 from coupledwave import scheme, sparse_linalg
@@ -258,18 +260,6 @@ def test_initial_preset_names():
     assert opposed[2](pts) == -opposed[0](pts)
 
 
-def jittered_square(n, seed):
-    base = msh.generate_unit_square(n)
-    rng = np.random.default_rng(seed)
-    vertices = base.vertices.copy()
-    interior = ~base.boundary_flags
-    vertices[interior] += rng.uniform(-0.15 / n, 0.15 / n, size=(int(interior.sum()), 2))
-    h = float(msh.cell_diameters(vertices, base.cells).max())
-    jittered = msh.Mesh(2, vertices, base.cells.copy(), base.boundary_flags.copy(), h)
-    msh.validate(jittered)
-    return jittered
-
-
 def recording_solves(monkeypatch):
     """Record (b, x0, inv_diag) of every solve the scheme starts."""
     calls = []
@@ -284,7 +274,7 @@ def recording_solves(monkeypatch):
 
 
 def test_projected_guess_is_no_worse_than_extrapolation(monkeypatch, projected_start):
-    m = jittered_square(10, seed=3)
+    m = oracles.jittered_square(10, seed=3)
     p = params_for(k=0.02, T=0.4, eps_u=0.5, eps_v=0.25)
     mass, stiff = matrices(m)
     op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-14))
