@@ -57,7 +57,7 @@ class RunConfig:
     # the objects that use these values own their checks
     @cached_property
     def scheme_params(self) -> scheme.SchemeParams:
-        return scheme.SchemeParams.from_final_time(
+        return scheme.SchemeParams(
             c=self.c, eps_u=self.eps_u, eps_v=self.eps_v, alpha=self.alpha, k=self.k, T=self.T
         )
 

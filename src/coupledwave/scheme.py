@@ -77,8 +77,8 @@ DENSE_START_MAX_N = 256
 class SchemeParams:
     """Physical and discretization parameters.
 
-    M_steps is the number of time levels beyond the startup pair, so the run
-    ends at time T = M_steps * k (enforced to 1e-12 relative).
+    k must divide T (to 1e-12 relative); M_steps = T / k is the number of
+    time levels beyond the startup pair, so the run ends at time T.
     """
 
     c: float
@@ -87,7 +87,6 @@ class SchemeParams:
     alpha: float
     k: float
     T: float
-    M_steps: int
 
     def __post_init__(self):
         # every message leads with the field it names, which is also its config key
@@ -102,6 +101,8 @@ class SchemeParams:
             raise ValueError(f"k (time step) must be positive, got {self.k}")
         if not self.T > 0.0:
             raise ValueError(f"T (final time) must be positive, got {self.T}")
+        if not math.isfinite(self.T / self.k):
+            raise ValueError(f"k = {self.k!r} is too small for T = {self.T!r}: T/k is not finite")
         if self.M_steps < 1 or abs(self.M_steps * self.k - self.T) > 1e-12 * self.T:
             raise ValueError(f"k = {self.k!r} does not divide T = {self.T!r} (time grid)")
         # the scalars BlockOperator multiplies M and K by
@@ -115,15 +116,12 @@ class SchemeParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} = {getattr(self, name)!r} is out of range: the step "
                                  f"coefficient {coefficient} is not finite (k = {self.k!r})")
+        if not 1.0 / self.k / self.k > 0.0:  # else the step would drop its M/k^2 term
+            raise ValueError(f"k = {self.k!r} is out of range: 1/k^2 underflows to 0")
 
-    @classmethod
-    def from_final_time(cls, *, c, eps_u, eps_v, alpha, k, T) -> "SchemeParams":
-        """Derive the step count from k and T, requiring k to divide T."""
-        # a nonpositive k or T gets its own message from __post_init__
-        steps = T / k if k > 0.0 and T > 0.0 else 0.0
-        if not math.isfinite(steps):
-            raise ValueError(f"k = {k!r} is too small for T = {T!r}: T/k is not finite")
-        return cls(c=c, eps_u=eps_u, eps_v=eps_v, alpha=alpha, k=k, T=T, M_steps=round(steps))
+    @property
+    def M_steps(self) -> int:
+        return round(self.T / self.k)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,8 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
     preconditioner ``jacobi_inverse(A)``, computed here when omitted, so a
     caller solving with one matrix many times passes it in.  Norms are safe
     for entries beyond the square root of the float range; an iterate whose
-    product with A overflows raises ValueError, like any non-finite input.
+    product with A overflows, or a preconditioned residual that underflows to
+    0 above the target, raises ValueError, like any non-finite input.
     """
     if inv_diag is None:
         inv_diag = jacobi_inverse(A)
@@ -145,6 +146,9 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
+        if rz == 0.0:  # r . z is positive unless z = r / diag(A) underflowed
+            raise ValueError(f"the solve underflowed at iteration {it}: the residual "
+                             f"divided by the matrix diagonal is 0 in floating point")
         Ap = A @ p
         pAp = float(p @ Ap)
         if not 0.0 < pAp < math.inf:

@@ -47,7 +47,7 @@ def square8():
 
 
 def damped_params(eps_u, eps_v, k=0.01, T=2.0):
-    return scheme.SchemeParams.from_final_time(
+    return scheme.SchemeParams(
         c=1.0, eps_u=eps_u, eps_v=eps_v, alpha=1.0, k=k, T=T
     )
 
@@ -129,7 +129,7 @@ def test_criterion_3_exponential_decay(long_decay_run, report):
 
 
 def test_criterion_4_convergence_order(report):
-    p = scheme.SchemeParams.from_final_time(
+    p = scheme.SchemeParams(
         c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.1, T=1.0
     )
     rep = mms.convergence_study(

@@ -20,7 +20,7 @@ def square2():
 def dyadic_params(**kw):
     defaults = dict(c=1.0, eps_u=0.0, eps_v=0.0, alpha=1.0, k=0.5, T=1.0)
     defaults.update(kw)
-    return scheme.SchemeParams.from_final_time(**defaults)
+    return scheme.SchemeParams(**defaults)
 
 
 def test_energy_frozen_single_dof_example(square2):
@@ -62,7 +62,7 @@ def test_lyapunov_params_validation():
 def test_energy_equals_component_sum_along_run():
     m = msh.generate_unit_square(4)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1, eps_u=0.5, eps_v=0.25, alpha=1, k=0.05, T=0.5)
+    p = scheme.SchemeParams(c=1, eps_u=0.5, eps_v=0.25, alpha=1, k=0.05, T=0.5)
     tracker = en.EnergyTracker(mass, stiff, p)
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=tracker)
     for rec in tracker.records:
@@ -87,7 +87,7 @@ def test_energy_is_quadratic_in_the_state(scale):
 def test_dissipation_terms_nonpositive_and_identity_tight():
     m = msh.generate_unit_square(4)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1, eps_u=0.5, eps_v=0.25, alpha=1, k=0.05, T=0.5)
+    p = scheme.SchemeParams(c=1, eps_u=0.5, eps_v=0.25, alpha=1, k=0.05, T=0.5)
     tracker = en.EnergyTracker(mass, stiff, p)
     from coupledwave.sparse_linalg import SolverConfig
 
@@ -120,7 +120,7 @@ def step_residual(mass, stiff, p, prev, cur):
 def test_identity_residual_detects_perturbation(square2):
     # hand-build a consistent triple on the single-dof mesh, then break it
     m, mass, stiff = square2
-    p = scheme.SchemeParams.from_final_time(c=1, eps_u=0.0, eps_v=0.0, alpha=1, k=0.01, T=2.0)
+    p = scheme.SchemeParams(c=1, eps_u=0.0, eps_v=0.0, alpha=1, k=0.01, T=2.0)
     from coupledwave.sparse_linalg import SolverConfig
 
     op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-15))
@@ -151,8 +151,7 @@ def test_tracker_rejects_non_consecutive_states(square2):
 def test_dissipation_terms_match_the_two_state_oracle(eps_u, eps_v):
     m = oracles.jittered_square(8, seed=5)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=eps_u, eps_v=eps_v, alpha=1.0,
-                                            k=0.02, T=0.4)
+    p = scheme.SchemeParams(c=1.0, eps_u=eps_u, eps_v=eps_v, alpha=1.0, k=0.02, T=0.4)
     states = []
     tracker = en.EnergyTracker(mass, stiff, p)
 
@@ -171,8 +170,7 @@ def test_identity_residual_is_the_solve_residual_on_the_projected_start(projecte
     # |r . dx| with r = b - A x on the coupled matrix and dx the step's increment
     m = msh.generate_unit_square(8)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0,
-                                            k=0.01, T=0.3)
+    p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.01, T=0.3)
     op = scheme.BlockOperator(mass, stiff, p, SolverConfig(rel_tol=1e-4))
     tracker = en.EnergyTracker(mass, stiff, p)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
@@ -212,8 +210,7 @@ class CountingMatrix:
 def test_tracker_takes_five_products_per_level():
     m = msh.generate_unit_square(6)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0,
-                                            k=0.05, T=0.5)
+    p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.05, T=0.5)
     counted = CountingMatrix(mass), CountingMatrix(stiff)
     tracker = en.EnergyTracker(*counted, p, en.LyapunovParams(N_weight=2.0, beta=0.5))
     reference = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(N_weight=2.0, beta=0.5))
@@ -226,7 +223,7 @@ def test_tracker_takes_five_products_per_level():
 def test_tracker_layout():
     m = msh.generate_unit_interval(6)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1, eps_u=0, eps_v=0, alpha=1, k=0.1, T=1.0)
+    p = scheme.SchemeParams(c=1, eps_u=0, eps_v=0, alpha=1, k=0.1, T=1.0)
     tracker = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(2.0, 0.125))
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=tracker)
     assert len(tracker.records) == p.M_steps
@@ -294,8 +291,7 @@ def test_dense_start_keeps_identity_at_rounding_floor_at_loose_tolerance(monkeyp
     # rounding level whatever rel_tol allows, so the identity stays exact
     m = msh.generate_unit_square(16)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
-    p = scheme.SchemeParams.from_final_time(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0,
-                                            k=0.01, T=0.5)
+    p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.01, T=0.5)
     loose = SolverConfig(rel_tol=1e-4)
 
     def max_residual():

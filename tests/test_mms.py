@@ -15,7 +15,7 @@ import oracles
 def make_params(k=0.1, T=1.0, **kw):
     defaults = dict(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0)
     defaults.update(kw)
-    return scheme.SchemeParams.from_final_time(k=k, T=T, **defaults)
+    return scheme.SchemeParams(k=k, T=T, **defaults)
 
 
 def test_unknown_case_name():
@@ -101,7 +101,7 @@ def test_source_residual_detects_wrong_coefficient():
     good = mms.build_case("separable-decay", p)
     from dataclasses import replace
 
-    bad = replace(good, source_u=lambda pts, t: 1.001 * good.source_u(pts, t))
+    bad = replace(good, s_u=1.001 * good.s_u)
     assert source_residual(bad, n_samples=20) > 1e-3
 
 
@@ -155,6 +155,27 @@ def test_measure_error_is_the_five_term_composite(monkeypatch, name, mesh):
     assert len(states) == p.M_steps
     assert err > 0.0
     assert err == math.sqrt(worst)
+
+
+def test_measure_error_evaluates_the_mode_once_per_mesh(monkeypatch):
+    # the mode and its load vector belong to the mesh: a run twice as long
+    # evaluates the mode as often
+    calls = []
+    real_mode = mms.sine_mode
+
+    def counting_mode(points):
+        calls.append(len(points))
+        return real_mode(points)
+
+    monkeypatch.setattr(mms, "sine_mode", counting_mode)
+    mesh = msh.generate_unit_interval(8)
+    counts = []
+    for T in (0.5, 1.0):
+        p = make_params(k=0.05, T=T)
+        calls.clear()
+        mms.measure_error(mms.build_case("separable-decay-1d", p), mesh, p)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_convergence_study_level_layout():

@@ -18,7 +18,7 @@ DAMPINGS = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.25), (0.5, 0.5))
 def params_for(k=0.1, T=1.0, **kw):
     defaults = dict(c=1.0, eps_u=0.0, eps_v=0.0, alpha=1.0)
     defaults.update(kw)
-    return scheme.SchemeParams.from_final_time(k=k, T=T, **defaults)
+    return scheme.SchemeParams(k=k, T=T, **defaults)
 
 
 def matrices(m):
@@ -35,7 +35,7 @@ def test_params_validation():
     with pytest.raises(ValueError, match="time step"):
         params_for(k=-0.1)
     with pytest.raises(ValueError, match="time grid"):
-        scheme.SchemeParams(c=1, eps_u=0, eps_v=0, alpha=1, k=0.1, T=2.0, M_steps=19)
+        params_for(k=0.3, T=1.0)
 
 
 def test_from_final_time_counts_steps():

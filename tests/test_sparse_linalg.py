@@ -130,6 +130,16 @@ def test_overflowing_solve_is_a_value_error():
             solve_spd(A, np.ones(2), x0=np.ones(2))
 
 
+def test_underflowing_solve_is_a_value_error():
+    # r / diag(A) is 0 in floating point while r is far above the target, so
+    # CG's first direction would be zero and its curvature p.Ap = 0
+    A = np.array([[2e300, 1e300], [1e300, 2e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="underflowed at iteration 1"):
+            solve_spd(A, np.full(2, 1e-300))
+
+
 def test_passed_inverse_diagonal_is_used_as_given():
     m = msh.generate_unit_square(6)
     A = asm.assemble_stiffness(m) + asm.assemble_mass(m)
