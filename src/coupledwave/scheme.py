@@ -30,17 +30,16 @@ rule and iterates only if the start falls short.  The 1 MiB bound keeps the
 memory the inverses add small next to the process's, and they come from
 numpy alone: a sparse factorization would load scipy.sparse.linalg, whose
 import alone adds about 9 MB resident.  A block that does not invert in
-floating point (entries near the ends of the float range) leaves its run on
-the projected start.
+floating point (entries near the ends of the float range) is a ValueError.
 Larger systems start from the Galerkin projection of the new solution onto
 the span of the last two, X = [x_n, x_{n-1}] with stored right-hand sides
 B ~ A X: x0 = X G^{-1} X^T b with G = sym(X^T B) (P. F. Fischer, CMAME 163,
 1998).  The extrapolation 2 x_n - x_{n-1} lies in that span, so the
 projection's A-norm error is no larger; the extrapolation remains the
-fallback when fewer than two solves are stored, G is singular or not
-finite, or a dense start is not finite.  ``method = cholesky`` solves the
-coupled matrix itself, with neither start, which keeps the check path
-independent of the rotation.
+fallback when fewer than two solves are stored or G is singular or not
+finite.  ``method = cholesky`` solves the coupled matrix itself, with
+neither start, which keeps the check path independent of the rotation.  N
+and the method alone fix a run's start.
 """
 
 from __future__ import annotations
@@ -118,6 +117,14 @@ class SchemeParams:
                                  f"coefficient {coefficient} is not finite (k = {self.k!r})")
         if not 1.0 / self.k / self.k > 0.0:  # else the step would drop its M/k^2 term
             raise ValueError(f"k = {self.k!r} is out of range: 1/k^2 underflows to 0")
+        # the u + v direction of the step computes (1/k^2 + alpha) - alpha, which
+        # leaves M/k^2 a rounding error of about eps_mach alpha k^2 of itself
+        eps_mach = np.finfo(float).eps
+        if self.alpha * self.k * self.k * eps_mach > 1e-6:
+            raise ValueError(f"k = {self.k!r} is too large for alpha = {self.alpha!r}: with "
+                             f"alpha k^2 above {1e-6 / eps_mach:.2g} the step's M/k^2 term is "
+                             f"lost to rounding; the largest admissible k is about "
+                             f"{math.sqrt(1e-6 / eps_mach / self.alpha):.3g}")
 
     @property
     def M_steps(self) -> int:
@@ -166,11 +173,12 @@ class BlockOperator:
     solve: the Jacobi preconditioner ``inv_diag`` and either the dense block
     inverses ``inverse`` (N <= DENSE_START_MAX_N, method cg) or the last two
     rotated (solution, right-hand side) pairs.  That history belongs to one
-    chain of ``step`` calls, so every run builds its own operator.
+    chain of ``step`` calls, so every run builds its own operator.  A block
+    that does not invert in floating point raises ValueError.
     """
 
     def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams,
-                 config: SolverConfig | None = None):
+                 config: SolverConfig = SolverConfig()):
         k, alpha = params.k, params.alpha
         damping = np.array([[params.eps_u / k, -alpha], [-alpha, params.eps_v / k]])
         lam, self.rotation = np.linalg.eigh(damping)
@@ -182,11 +190,9 @@ class BlockOperator:
             raise ValueError(f"c = {params.c!r} is out of range: the step matrix "
                              f"(1/k^2 + alpha) M + c^2 K is not finite on this mesh")
         self.mass, self.params = mass, params
-        self.config = config or SolverConfig()
+        self.config = config
         self._stiffness = stiffness
         self.n_field = mass.shape[0]
-        # (2, N, N) on small systems, else None; None too when a block does
-        # not invert in floating point, which leaves the run projected
         self.inverse = (_block_inverses(self.decoupled, self.n_field)
                         if _dense_start(self.n_field, self.config) else None)
         self._history = []  # up to two (x, b, x . b), newest first, rotated coordinates
@@ -208,10 +214,9 @@ class BlockOperator:
         return jacobi_inverse(self.decoupled)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def dense_guess(self, b: np.ndarray) -> np.ndarray | None:
-        """x0 = blockdiag(A_1^{-1}, A_2^{-1}) b, or None when it is not finite."""
-        guess = (self.inverse @ b.reshape(2, self.n_field, 1)).ravel()
-        return guess if np.isfinite(guess).all() else None
+    def dense_guess(self, b: np.ndarray) -> np.ndarray:
+        """x0 = blockdiag(A_1^{-1}, A_2^{-1}) b; solve_spd rejects one that overflowed."""
+        return (self.inverse @ b.reshape(2, self.n_field, 1)).ravel()
 
     # an overflowing Gram product fails the tests below instead of warning
     @np.errstate(over="ignore", invalid="ignore")
@@ -259,7 +264,7 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
     """Advance one time level with the run's operator ``op``.
 
     CG solves the decoupled system, started from ``op.dense_guess`` on a
-    small system, else from ``op.projected_guess``, and failing either, from
+    small system, else from ``op.projected_guess``, and failing that, from
     the extrapolation 2 x_n - x_{n-1}; ``method = cholesky`` solves the
     coupled matrix.  f_u, f_v are already-assembled
     load vectors for the target level (or None for the homogeneous problem).
@@ -304,16 +309,16 @@ def _dense_start(n_field: int, config: SolverConfig) -> bool:
     return config.method == "cg" and n_field <= DENSE_START_MAX_N
 
 
-# a nonpositive pivot or an overflow returns None instead of warning
+# a nonpositive pivot or an overflow raises instead of warning
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _block_inverses(decoupled: sp.csr_matrix, n: int) -> np.ndarray | None:
+def _block_inverses(decoupled: sp.csr_matrix, n: int) -> np.ndarray:
     """The inverses of both N x N diagonal blocks of ``decoupled``, shape (2, N, N).
 
     Each comes from the Cholesky factor L, computed in place, and the inverse
     of L, row by row: A^{-1} = L^{-T} L^{-1}.  Only matrix-vector products
     are used, so the build maps no LAPACK or matrix-matrix kernels (they
-    cost more resident memory than the 2 N^2 doubles kept).  None when a
-    pivot is not positive or an entry not finite.
+    cost more resident memory than the 2 N^2 doubles kept).  A pivot that is
+    not positive or an entry that is not finite raises ValueError.
     """
     inverses = np.empty((2, n, n))
     linv = np.zeros((n, n))
@@ -322,9 +327,8 @@ def _block_inverses(decoupled: sp.csr_matrix, n: int) -> np.ndarray | None:
         a = decoupled[span, span].toarray()  # becomes L in its lower triangle
         for j in range(n):
             pivot = a[j, j] - a[j, :j] @ a[j, :j]
-            if not pivot > 0.0:
-                return None
-            a[j, j] = math.sqrt(pivot)
+            # NaN carries a pivot that is not positive into the check below
+            a[j, j] = math.sqrt(pivot) if pivot > 0.0 else math.nan
             a[j + 1:, j] = (a[j + 1:, j] - a[j + 1:, :j] @ a[j, :j]) / a[j, j]
         for i in range(n):
             row = -(a[i, :i] @ linv[:i])
@@ -333,7 +337,9 @@ def _block_inverses(decoupled: sp.csr_matrix, n: int) -> np.ndarray | None:
         # L^{-1} is lower triangular, so row i of L^{-T} L^{-1} sums rows i.. of it
         for i in range(n):
             out[i] = linv[i:, i] @ linv[i:]
-    return inverses if np.isfinite(inverses).all() else None
+    if not np.isfinite(inverses).all():
+        raise ValueError("the step matrix's blocks do not invert in floating point on this mesh")
+    return inverses
 
 
 def _rotate(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -347,7 +353,7 @@ def run(
     stiffness: sp.csr_matrix,
     params: SchemeParams,
     initial: tuple,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     sources: Callable[[float], tuple] | None = None,
     observer: Callable[[State], None] | None = None,
 ) -> State:

@@ -64,7 +64,7 @@ def with_context(exc: SolverFailure | ValueError, context: str) -> SolverFailure
     return ValueError(message)
 
 
-def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None,
+def solve_spd(A, b: np.ndarray, config: SolverConfig = SolverConfig(),
               x0: np.ndarray | None = None, inv_diag: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
@@ -80,7 +80,6 @@ def solve_spd(A, b: np.ndarray, config: SolverConfig | None = None,
     SolverFailure
         When CG exceeds its iteration budget (carries the last residual).
     """
-    config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if A.shape != (n, n) or b.ndim != 1:
@@ -106,13 +105,18 @@ def jacobi_inverse(A) -> np.ndarray:
     """The Jacobi preconditioner 1 / diag(A), after checking the diagonal.
 
     Assembled mass/stiffness combinations have strictly positive diagonals;
-    a nonpositive entry is reported as a SolverFailure.
+    a nonpositive entry is reported as a SolverFailure, and one whose inverse
+    overflows as a ValueError.
     """
     diag = A.diagonal() if sp.issparse(A) else np.diagonal(A)
     _check_diagonal(diag)
     if (diag <= 0.0).any():
         raise SolverFailure("matrix has a nonpositive diagonal entry", np.inf, 0)
-    return 1.0 / diag
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse = 1.0 / diag
+    if not np.isfinite(inverse).all():
+        raise ValueError("the matrix diagonal is too small to invert in floating point")
+    return inverse
 
 
 # overflow inside CG is detected and reported, not warned about
@@ -133,12 +137,8 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
         inv_diag = jacobi_inverse(A)
 
     target = rel_tol * _norm(b)
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - A @ x
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - A @ x
     res = _norm(r)
     if res <= target:
         return x, 0, res

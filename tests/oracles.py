@@ -153,3 +153,38 @@ def dissipation_terms(old_state, new_state, mass, stiffness, params) -> dict:
         "friction_v": -(params.eps_v / k) * quad(mass, dv),
         "coupling_difference": -0.5 * params.alpha * quad(mass, (u_new - v_new) - (u_mid - v_mid)),
     }
+
+
+def modal_rate(lam, params, fields=None):
+    """Energy decay rate of the scheme on one generalized eigenpair K phi = lam M phi.
+
+    On span{phi} in both fields the step is A x_{n+1} = B x_n + C x_{n-1} on
+    x = (u, v), with A = (1/k^2 + c^2 lam) I + diag(eps)/k + alpha [[1, -1],
+    [-1, 1]], B = 2 I/k^2 + diag(eps)/k and C = -I/k^2.  The energy of the
+    mode decays like rho^{2n}, rho the spectral radius of the 4 x 4 companion
+    [[A^-1 B, A^-1 C], [I, 0]], so the rate is -2 ln(rho) / k.  With
+    ``fields = (a_u, a_v)``, rho is taken over the companion's eigenvalues
+    that the data (u, v) = (a_u, a_v) phi at rest excites.  ``lam`` may be an
+    array; the result then has its shape.
+    """
+    k = params.k
+    lam = np.asarray(lam, dtype=float)
+    eye = np.eye(2)
+    damping = np.diag([params.eps_u, params.eps_v]) / k
+    coupling = params.alpha * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    a = ((1.0 / k**2 + params.c**2 * lam[..., None, None]) * eye + damping + coupling)
+    b = 2.0 * eye / k**2 + damping
+    companion = np.zeros(lam.shape + (4, 4))
+    companion[..., :2, :2] = np.linalg.solve(a, np.broadcast_to(b, a.shape))
+    companion[..., :2, 2:] = np.linalg.solve(a, np.broadcast_to(-eye / k**2, a.shape))
+    companion[..., 2:, :2] = eye
+    values, vectors = np.linalg.eig(companion)
+    if fields is None:
+        rho = np.abs(values).max(axis=-1)
+    else:
+        # the startup level of data at rest repeats it: x_1 = x_0
+        start = np.broadcast_to(np.array([*fields, *fields], dtype=complex), values.shape)
+        weights = np.abs(np.linalg.solve(vectors, start[..., None])[..., 0])
+        excited = weights > 1e-10 * weights.max(axis=-1, keepdims=True)
+        rho = np.where(excited, np.abs(values), 0.0).max(axis=-1)
+    return -2.0 * np.log(rho) / k

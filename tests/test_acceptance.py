@@ -223,3 +223,51 @@ def test_criterion_8_byte_identical_output(tmp_path, report):
     report(8, "byte-identical output", ok,
            f"{len(payloads[0][0])} CSV bytes compared")
     assert ok
+
+
+def rayleigh_quotient_of_sine(m, mass, stiff):
+    """lam_h of the interpolated sine mode, K phi = lam_h M phi in the Rayleigh sense."""
+    phi = scheme.sine_mode(m.vertices[~m.boundary_flags])
+    return float(phi @ (stiff @ phi)) / float(phi @ (mass @ phi))
+
+
+def test_criterion_9_modal_decay_rate(square8, long_decay_run, report):
+    # (a) sine-opposed data excite the u - v mode of the sine alone, so the
+    # fitted rate is that mode's modal rate
+    relative = {}
+    opposed = damped_params(0.5, 0.5, k=0.01, T=10.0)
+    for m in (msh.generate_unit_interval(16), square8[0]):
+        mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+        tracker = en.EnergyTracker(mass, stiff, opposed)
+        scheme.run(m, mass, stiff, opposed, scheme.initial_preset("sine-opposed"),
+                   config=SOLVER, observer=tracker)
+        gamma = en.fit_decay_rate(tracker.records, window=0.5).gamma
+        lam = rayleigh_quotient_of_sine(m, mass, stiff)
+        expected = oracles.modal_rate(lam, opposed, (1.0, -1.0))
+        relative[m.dim] = abs(gamma - expected) / expected
+    # (b) sine data excite both modes: criterion 3's rate lies between them
+    p, tracker = long_decay_run
+    lam = rayleigh_quotient_of_sine(*square8)
+    slow, fast = (oracles.modal_rate(lam, p, fields) for fields in ((1.0, 1.0), (1.0, -1.0)))
+    gamma = en.fit_decay_rate(tracker.records, window=0.5).gamma
+    # (c) the slowest rate over the whole 1D spectrum, lam_j = (6/h^2)
+    # (1 - cos j pi h) / (2 + cos j pi h), does not degrade with h
+    worst = {}
+    for eps_v in (0.25, 0.0):
+        rates = []
+        for n in (16, 64, 256, 1024):
+            cos = np.cos(np.arange(1, n) * np.pi / n)
+            spectrum = 6.0 * n * n * (1.0 - cos) / (2.0 + cos)
+            rates.append(oracles.modal_rate(spectrum, damped_params(0.5, eps_v)).min())
+        worst[eps_v] = (max(rates) - min(rates)) / min(rates)
+    checks = {
+        "single mode": max(relative.values()) <= 2e-3,
+        "between modes": slow < gamma < fast,
+        "uniform in h": max(worst.values()) <= 1e-3,
+    }
+    ok = all(checks.values())
+    report(9, "modal decay rate", ok,
+           f"fit vs modal 1d {relative[1]:.1e}, 2d {relative[2]:.1e}; "
+           f"{slow:.4f} < gamma={gamma:.6f} < {fast:.4f}; "
+           f"worst-mode spread {max(worst.values()):.1e}")
+    assert ok, checks

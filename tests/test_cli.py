@@ -66,8 +66,17 @@ OWNER_ERRORS = [
     ("mode = convergence\ndomain = interval\nn_per_side = 4\ncase = separable-decay-1d\n"
      "c = 4e153\nk = 0.1\nT = 0.2\nlevels = 3\n", "c = 4e\\+153 is out of range", 5),
     ("mode = convergence\nk = 1\nT = 1\neps_v = 1e308\n", "eps_v = 1e\\+308 is out of range", 4),
+    # alpha k^2 above about 4.5e9: the step's M/k^2 is lost to rounding in
+    # (1/k^2 + alpha) - alpha, so CG and Cholesky disagree (1e16), or a
+    # diagonal rounds to 0 and the solve fails (1e20)
     ("mode = convergence\nk = 1\nT = 1\neps_u = 1.7e308\nalpha = 1e308\n",
-     "eps_u = 1.7e\\+308 is out of range", 4),
+     "k = 1.0 is too large for alpha = 1e\\+308", 2),
+    ("mode = simulate\nk = 1\nT = 3\nalpha = 1e16\ninitial = sine\n",
+     "k = 1.0 is too large for alpha = 1e\\+16: .* largest admissible k is about 0.000671", 2),
+    ("mode = simulate\nk = 1\nT = 3\nalpha = 1e20\ninitial = sine\n",
+     "k = 1.0 is too large for alpha = 1e\\+20", 2),
+    ("mode = convergence\nk = 1e154\nT = 4e154\nlevels = 3\nn_per_side = 2\n",
+     "k = 1e\\+154 is too large for alpha = 1.0", 2),
 ]
 
 
@@ -381,9 +390,19 @@ def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
          "refinement level 2: advancing to level 2 (t = 0.05) failed: the solve overflowed"),
         # the MMS error composite of the startup level overflows although each
         # error is finite: the Taylor start u + k u_t leaves errors of order k
-        ("mode = convergence\nk = 1e154\nT = 4e154\nlevels = 3\nn_per_side = 2\n",
+        ("mode = convergence\nk = 1e154\nT = 4e154\nlevels = 3\nn_per_side = 2\n"
+         "alpha = 1e-300\n",
          "refinement level 0: k = 1e+154 is out of range: the MMS error composite at time "
          "level 1 is not finite"),
+        # M/k^2 and c^2 K are subnormal: on the dense route (N = 9) the block
+        # inverses overflow as the operator is built, on the projected route
+        # (N = 361) the Jacobi preconditioner 1 / diag does
+        ("mode = simulate\nn_per_side = 4\nc = 1e-160\nalpha = 1e-300\nk = 1e154\nT = 3e154\n"
+         "initial = sine\n",
+         "error: the step matrix's blocks do not invert in floating point on this mesh"),
+        ("mode = simulate\nn_per_side = 20\nc = 1e-160\nalpha = 1e-300\nk = 1e154\nT = 3e154\n"
+         "initial = sine\n",
+         "advancing to level 2 (t = 2e+154) failed: the matrix diagonal is too small to invert"),
         # at level 4 the right-hand side is near 1e-295 and c^2 K near 1e300, so
         # CG's preconditioned residual underflows to 0 from the (zero) dense start
         ("mode = simulate\nn_per_side = 4\nc = 1e150\neps_u = 0.5\neps_v = 0.25\nk = 0.01\n"

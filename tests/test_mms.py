@@ -39,7 +39,8 @@ def test_symmetric_case_sources_coincide():
     pts = np.random.default_rng(5).uniform(0.1, 0.9, size=(20, 2))
     np.testing.assert_array_equal(case.u(pts, 0.4), case.v(pts, 0.4))
     np.testing.assert_allclose(
-        case.source_u(pts, 0.4), case.source_v(pts, 0.4), rtol=1e-15
+        case.s_u * math.exp(-0.4) * scheme.sine_mode(pts),
+        case.s_v * math.exp(-0.4) * scheme.sine_mode(pts), rtol=1e-15
     )
 
 
@@ -48,7 +49,7 @@ def source_residual(case, n_samples, seed=0):
 
     The derivatives of the exact fields come from the 6th-order oracle
     stencils, so agreement certifies the hand-derived sources rather than
-    re-evaluating them.
+    re-evaluating them.  The source is s e^{-t} m, as measure_error applies it.
     """
     rng = np.random.default_rng(seed)
     p = case.params
@@ -56,9 +57,9 @@ def source_residual(case, n_samples, seed=0):
     for _ in range(n_samples):
         x = rng.uniform(0.1, 0.9, size=(1, case.dim))
         t = float(rng.uniform(0.1, 2.0))
-        for field, other, eps, source in (
-            (case.u, case.v, p.eps_u, case.source_u),
-            (case.v, case.u, p.eps_v, case.source_v),
+        for field, other, eps, coef in (
+            (case.u, case.v, p.eps_u, case.s_u),
+            (case.v, case.u, p.eps_v, case.s_v),
         ):
             in_time = lambda s: float(field(x, s)[0])
             w_tt = oracles.fd_time_derivative(in_time, t, order=2)
@@ -68,7 +69,8 @@ def source_residual(case, n_samples, seed=0):
                 w_tt - p.c**2 * lap + eps * w_t
                 + p.alpha * (float(field(x, t)[0]) - float(other(x, t)[0]))
             )
-            worst = max(worst, abs(float(source(x, t)[0]) - expected))
+            source = coef * math.exp(-t) * float(scheme.sine_mode(x)[0])
+            worst = max(worst, abs(source - expected))
     return worst
 
 
@@ -92,7 +94,8 @@ def test_self_check_matches_independent_fd_oracle():
         u_tt - p.c**2 * lap + p.eps_u * u_t
         + p.alpha * (case.u(x, t)[0] - case.v(x, t)[0])
     )
-    assert case.source_u(x, t)[0] == pytest.approx(expected, abs=1e-10)
+    source = case.s_u * math.exp(-t) * scheme.sine_mode(x)[0]
+    assert source == pytest.approx(expected, abs=1e-10)
 
 
 def test_source_residual_detects_wrong_coefficient():

@@ -1,0 +1,48 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# lists every (module, attribute) the benchmark's probe patches, the way
+# perfbench/job.py installs it, and whether each is there to patch
+LIST_TARGETS = """
+import json
+import probe
+from coupledwave import assembly, cli, mesh, mms, scheme, sparse_linalg
+
+targets = []
+
+
+class Listing(probe.Recorder):
+    def _patch(self, module, attr, make):
+        targets.append([module.__name__, attr, callable(getattr(module, attr, None))])
+        super()._patch(module, attr, make)
+
+
+Listing(trace=True).install({
+    "cli": cli, "mesh": mesh, "assembly": assembly,
+    "scheme": scheme, "sparse_linalg": sparse_linalg, "mms": mms,
+})
+print(json.dumps(targets))
+"""
+
+
+def test_every_probe_target_exists():
+    # the probe skips a missing name silently, which would drop its span from
+    # the benchmark's per-layer metrics; the child patches its own modules
+    # only, and writes no bytecode into perfbench/
+    path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIST_TARGETS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                 PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    targets = json.loads(proc.stdout)
+    missing = [f"{module}.{attr}" for module, attr, present in targets if not present]
+    assert targets and not missing, missing

@@ -465,6 +465,21 @@ def test_dense_start_only_within_its_bound(monkeypatch):
     assert op.projected_guess(states[-1], calls[-1][0]) is not None
 
 
+def test_dense_start_that_is_not_finite_is_a_value_error():
+    # the inverses and b are finite but their product overflows: the step
+    # rejects the start, with no extrapolated start standing in for it
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=0.6)
+    op = scheme.BlockOperator(*matrices(m), p)
+    op.inverse = np.full_like(op.inverse, 1e308)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the initial guess is not finite"):
+            scheme.step(state, op)
+    assert op._history == []
+
+
 def test_dense_start_short_of_tolerance_still_iterates(monkeypatch):
     m, p, mass, stiff = square16()
     start = scheme.initialize(m, p, *scheme.initial_preset("sine"))

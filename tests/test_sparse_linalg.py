@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +139,16 @@ def test_underflowing_solve_is_a_value_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="underflowed at iteration 1"):
             solve_spd(A, np.full(2, 1e-300))
+
+
+def test_diagonal_too_small_to_invert_is_a_value_error():
+    A = sp.diags([1.0, 1e-310, 2.0], format="csr")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small to invert"):
+            jacobi_inverse(A)
+        with pytest.raises(ValueError, match="too small to invert"):
+            solve_spd(A, np.ones(3))
 
 
 def test_passed_inverse_diagonal_is_used_as_given():
