@@ -9,6 +9,7 @@ all raise ConfigError carrying the offending line number.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -84,7 +85,9 @@ def parse_config(text: str) -> RunConfig:
     Lyapunov weights.  Range checks belong to the objects built from the
     config (SchemeParams, SolverConfig, LyapunovParams, the initial presets
     and the manufactured cases); each of their messages leads with the key it
-    names, and the ConfigError raised here carries that key's line.
+    names, and the ConfigError raised here carries that key's line, or the
+    line of the first other key the message names when the config leaves the
+    leading one at its default.
     """
     values: dict = {}
     lines: dict = {}
@@ -108,7 +111,9 @@ def parse_config(text: str) -> RunConfig:
     try:
         _validate(cfg)
     except ValueError as exc:
-        raise ConfigError(str(exc), lines.get(str(exc).split(maxsplit=1)[0])) from None
+        # the key the message leads with, else the first other key it names that is set
+        named = [word for word in re.findall(r"\w+", str(exc)) if word in lines]
+        raise ConfigError(str(exc), lines[named[0]] if named else None) from None
     return cfg
 
 

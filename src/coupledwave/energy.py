@@ -98,22 +98,52 @@ class DecayFit:
     residual: float
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _terms(state: State, mass, stiffness, params: SchemeParams):
-    """The five (weight, a, P a) of a state's level pair, their parts
-    1/2 weight a.(P a) and E, their sum; ValueError when E is not finite."""
-    du = (state.u_curr - state.u_prev) / params.k
-    dv = (state.v_curr - state.v_prev) / params.k
-    w = state.u_curr - state.v_curr
-    terms = ((1.0, du, mass @ du), (1.0, dv, mass @ dv),
-             (params.c**2, state.u_curr, stiffness @ state.u_curr),
-             (params.c**2, state.v_curr, stiffness @ state.v_curr),
-             (params.alpha, w, mass @ w))
-    parts = tuple(0.5 * weight * float(a @ pa) for weight, a, pa in terms)
-    E = sum(parts)
-    if not math.isfinite(E):
-        raise ValueError(f"energy {E!r} at level {state.n} is not finite")
-    return terms, parts, E
+# a block of levels holds at most BLOCK_BYTES in its ten (rows, N) arrays of
+# doubles, the five energy terms and their products: 29 rows at N = 225, 6 at
+# N = 961 and one row from N = 3277 on, where a sparse product with several
+# columns costs more per column than with one (46 against 26 us at N = 3969)
+BLOCK_BYTES = 512 * 1024
+
+
+def energy_terms(u_prev, u_curr, v_prev, v_curr, mass, stiffness, params: SchemeParams):
+    """The five (weight, a, P a) of a block of level pairs (n-1, n), and each
+    pair's five parts 1/2 weight a.(P a).
+
+    The fields, a and P a are (rows, N) arrays with C-contiguous rows, one
+    row per pair.  Each term takes one sparse product for the whole block,
+    and each pair's parts equal bitwise those of the pair alone.  Callers
+    ignore overflow (``np.errstate``) and check the parts.
+    """
+    k, c2 = params.k, params.c**2
+    terms = [(weight, a, _product(matrix, a)) for weight, matrix, a in (
+        (1.0, mass, (u_curr - u_prev) / k), (1.0, mass, (v_curr - v_prev) / k),
+        (c2, stiffness, u_curr), (c2, stiffness, v_curr),
+        (params.alpha, mass, u_curr - v_curr))]
+    dots = zip(*(np.vecdot(a, pa).tolist() for _, a, pa in terms))
+    parts = [tuple(0.5 * weight * dot for (weight, _, _), dot in zip(terms, row)) for row in dots]
+    return terms, parts
+
+
+def _product(matrix, a: np.ndarray) -> np.ndarray:
+    """(matrix @ a.T).T with C-contiguous rows; one row takes the cheaper
+    matrix-vector product, which the block product's columns equal."""
+    if len(a) == 1:
+        return (matrix @ a[0])[None]
+    return np.ascontiguousarray((matrix @ a.T).T)
+
+
+def _increments(x: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """The row differences x[i] - x[i-1], with ``before`` in place of x[-1]."""
+    out = x - before  # right in row 0
+    if len(x) > 1:
+        np.subtract(x[1:], x[:-1], out=out[1:])
+    return out
+
+
+def _finite(name: str, value: float, n: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {value!r} at level {n} is not finite")
+    return value
 
 
 def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
@@ -122,29 +152,22 @@ def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
     The record describes no step: dE and identity_residual are 0.0 and
     lyapunov is E.  A non-finite E raises ValueError.
     """
-    _, parts, E = _terms(state, mass, stiffness, params)
-    return EnergyRecord(state.n, state.n * params.k, E, *parts, dE=0.0, identity_residual=0.0,
-                        lyapunov=E)
-
-
-def _dissipation(old_terms, terms, parts, params: SchemeParams) -> DissipationBreakdown:
-    """The step's seven terms from two consecutive levels' ``_terms``: the five
-    terms on the increments, and friction from the new kinetic parts."""
-    second_u, second_v, gradient_u, gradient_v, coupling = (
-        -0.5 * weight * float((a - a_old) @ (pa - pa_old))
-        for (weight, a, pa), (_, a_old, pa_old) in zip(terms, old_terms)
-    )
-    return DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
-                                -2.0 * params.eps_u * params.k * parts[0],
-                                -2.0 * params.eps_v * params.k * parts[1], coupling)
+    tracker = EnergyTracker(mass, stiffness, params)
+    tracker(state)
+    return tracker.records[0]
 
 
 class EnergyTracker:
     """Run observer that keeps one EnergyRecord per level, step diagnostics included.
 
-    Each level takes five sparse products, once; the step's dissipation
-    reuses the previous level's.  Lyapunov values are tracked when parameters
-    are supplied.  A non-finite energy or Lyapunov value raises ValueError.
+    It buffers the states it observes and turns blocks of levels into
+    records: five sparse products per block (``energy_terms``), and the
+    step's dissipation from row differences, the previous block's last level
+    carried over.  A block ends when it is full, at level ``params.M_steps``,
+    and when ``records`` is read.  Lyapunov values are tracked when
+    parameters are supplied.  A non-finite energy or Lyapunov value raises
+    ValueError naming its level; a level whose values are not certainly
+    finite ends its block at once, so no later step's error comes first.
     """
 
     def __init__(self, mass, stiffness, params: SchemeParams, lyapunov_params=None):
@@ -152,30 +175,90 @@ class EnergyTracker:
         self.stiffness = stiffness
         self.params = params
         self.lyapunov_params = lyapunov_params
-        self.records: list = []
-        self._last = None  # (state, terms) of the last level observed
+        self._records: list = []
+        self._pending: list = []  # the states observed since the last block
+        self._last = None  # the last state observed
+        self._carry = None  # (a, P a) of the five terms at the last record's level
+        self._squares = None  # |u|^2 + |v|^2 of the last pending state
+        self._rows = max(1, BLOCK_BYTES // (80 * max(mass.shape[0], 1)))
+        # (1 + S) growth / 4 bounds a level's energy, Lyapunov value and every
+        # vector and sum they take, S the squared norms of its four fields
+        # (the Frobenius norms of M and K bound their spectral norms)
+        with np.errstate(over="ignore"):
+            norms = 1.0 + float(np.linalg.norm(mass.data) + np.linalg.norm(stiffness.data))
+        lp = lyapunov_params
+        weights = 1.0 + (lp.N_weight + lp.beta if lp else 0.0)
+        self._growth = (8.0 * (1.0 + 1.0 / params.k / params.k) * norms
+                        * (1.0 + params.c**2 + params.alpha) * weights)
 
     def __call__(self, state: State) -> None:
-        terms, parts, E = _terms(state, self.mass, self.stiffness, self.params)
-        lyap, lp = E, self.lyapunov_params
+        last = self._last
+        if last is not None and (last.n != state.n - 1 or not all(
+                a is b or np.array_equal(a, b)
+                for a, b in ((last.u_curr, state.u_prev), (last.v_curr, state.v_prev)))):
+            raise ValueError("tracker must observe consecutive states of one run")
+        self._last = state
+        self._pending.append(state)
+        if (len(self._pending) >= self._rows or state.n >= self.params.M_steps
+                or not self._certainly_finite(state)):
+            self._flush()
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _certainly_finite(self, state: State) -> bool:
+        if self._squares is None:
+            self._squares = float(np.dot(state.u_prev, state.u_prev)
+                                  + np.dot(state.v_prev, state.v_prev))
+        previous, self._squares = self._squares, float(np.dot(state.u_curr, state.u_curr)
+                                                       + np.dot(state.v_curr, state.v_curr))
+        return (1.0 + previous + self._squares) * self._growth < math.inf
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _flush(self) -> None:
+        pending, self._pending, self._squares = self._pending, [], None
+        if not pending:
+            return
+        p, lp, first = self.params, self.lyapunov_params, pending[0]
+        if len(pending) == 1:
+            fields = (first.u_prev[None], first.u_curr[None],
+                      first.v_prev[None], first.v_curr[None])
+        else:
+            u = np.stack([first.u_prev, *(s.u_curr for s in pending)])
+            v = np.stack([first.v_prev, *(s.v_curr for s in pending)])
+            fields = (u[:-1], u[1:], v[:-1], v[1:])
+        terms, parts = energy_terms(*fields, self.mass, self.stiffness, p)
         if lp is not None:
             # M is symmetric, so the cross term du.(M u) + dv.(M v) = u.(M du) + v.(M dv)
-            cross = float(state.u_curr @ terms[0][2]) + float(state.v_curr @ terms[1][2])
-            lyap = lp.N_weight * E + lp.beta * cross
-            if not math.isfinite(lyap):
-                raise ValueError(f"Lyapunov value {lyap!r} at level {state.n} is not finite")
-        dE, residual, breakdown = 0.0, 0.0, None
-        if self._last is not None:
-            prev, old_terms = self._last
-            if (prev.n != state.n - 1 or not np.array_equal(prev.u_curr, state.u_prev)
-                    or not np.array_equal(prev.v_curr, state.v_prev)):
-                raise ValueError("tracker must observe consecutive states of one run")
-            breakdown = _dissipation(old_terms, terms, parts, self.params)
-            dE = E - self.records[-1].E
-            residual = abs(dE - breakdown.total)
-        self.records.append(EnergyRecord(state.n, state.n * self.params.k, E, *parts, dE,
-                                         residual, lyap, breakdown))
-        self._last = (state, terms)
+            cross = (np.vecdot(fields[1], terms[0][2])
+                     + np.vecdot(fields[3], terms[1][2])).tolist()
+        # the five terms on the step's increments; the run's first level has
+        # no step, and stands in for its own predecessor
+        carry = self._carry or [(a[:1], pa[:1]) for _, a, pa in terms]
+        steps = zip(*(np.vecdot(_increments(a, a_old), _increments(pa, pa_old)).tolist()
+                      for (_, a, pa), (a_old, pa_old) in zip(terms, carry)))
+        self._carry = [(a[-1:], pa[-1:]) for _, a, pa in terms]
+        for i, (state, part, step) in enumerate(zip(pending, parts, steps)):
+            n = state.n
+            E = _finite("energy", sum(part), n)
+            lyap = E if lp is None else _finite("Lyapunov value",
+                                                lp.N_weight * E + lp.beta * cross[i], n)
+            dE, residual, breakdown = 0.0, 0.0, None
+            if self._records:
+                second_u, second_v, gradient_u, gradient_v, coupling = (
+                    -0.5 * weight * dot for (weight, _, _), dot in zip(terms, step))
+                # friction from the new kinetic parts
+                breakdown = DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
+                                                 -2.0 * p.eps_u * p.k * part[0],
+                                                 -2.0 * p.eps_v * p.k * part[1], coupling)
+                dE = E - self._records[-1].E
+                residual = abs(dE - breakdown.total)
+            self._records.append(EnergyRecord(n, n * p.k, E, *part, dE, residual, lyap,
+                                              breakdown))
+
+    @property
+    def records(self) -> list:
+        """One EnergyRecord per level observed; reading it ends the pending block."""
+        self._flush()
+        return self._records
 
     @property
     def max_identity_residual(self) -> float:

@@ -170,11 +170,12 @@ class BlockOperator:
     ``decoupled`` holds 2 nnz(M) entries against the coupled matrix's
     4 nnz(M).  The coupled matrix is built on first access only; the CG path
     never touches it.  The operator also owns what CG reuses from solve to
-    solve: the Jacobi preconditioner ``inv_diag`` and either the dense block
-    inverses ``inverse`` (N <= DENSE_START_MAX_N, method cg) or the last two
-    rotated (solution, right-hand side) pairs.  That history belongs to one
-    chain of ``step`` calls, so every run builds its own operator.  A block
-    that does not invert in floating point raises ValueError.
+    solve: the Jacobi preconditioner ``inv_diag`` (method cg) and either the
+    dense block inverses ``inverse`` (N <= DENSE_START_MAX_N, method cg) or
+    the last two rotated (solution, right-hand side) pairs.  That history
+    belongs to one chain of ``step`` calls, so every run builds its own
+    operator.  A block or a diagonal that does not invert in floating point
+    raises ValueError.
     """
 
     def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams,
@@ -195,6 +196,13 @@ class BlockOperator:
         self.n_field = mass.shape[0]
         self.inverse = (_block_inverses(self.decoupled, self.n_field)
                         if _dense_start(self.n_field, self.config) else None)
+        if config.method == "cg":
+            try:
+                self.inv_diag = jacobi_inverse(self.decoupled)
+            except ValueError:  # M/k^2 and c^2 K both near the smallest doubles
+                raise ValueError(f"k = {k!r} is out of range: the step matrix's diagonal "
+                                 f"(M/k^2 + c^2 K, c = {params.c!r}) is too small to invert "
+                                 f"in floating point") from None
         self._history = []  # up to two (x, b, x . b), newest first, rotated coordinates
         self._tip = None  # the state whose level x is the newest solution
 
@@ -207,11 +215,6 @@ class BlockOperator:
         diag_v = mass / (k * k) + (params.eps_v / k) * mass + c**2 * stiffness + alpha * mass
         coupling = -alpha * mass
         return sp.bmat([[diag_u, coupling], [coupling, diag_v]], format="csr")
-
-    @cached_property
-    def inv_diag(self) -> np.ndarray:
-        """The Jacobi preconditioner of ``decoupled``, computed once per run."""
-        return jacobi_inverse(self.decoupled)
 
     @np.errstate(over="ignore", invalid="ignore")
     def dense_guess(self, b: np.ndarray) -> np.ndarray:

@@ -188,3 +188,46 @@ def modal_rate(lam, params, fields=None):
         excited = weights > 1e-10 * weights.max(axis=-1, keepdims=True)
         rho = np.where(excited, np.abs(values), 0.0).max(axis=-1)
     return -2.0 * np.log(rho) / k
+
+
+def per_level_records(states, mass, stiffness, params, lyapunov_params=None) -> list:
+    """EnergyRecords of consecutive states, one level at a time.
+
+    This is the tracker's arithmetic taken level by level, with one sparse
+    matrix-vector product per energy term and one dot product per sum, in
+    the order the tracker keeps: parts 1/2 weight a.(P a), E their sum from
+    the left, the dissipation terms -1/2 weight (a - a_old).(P a - P a_old)
+    and friction -2 eps k times the new kinetic part.
+    """
+    from coupledwave.energy import DissipationBreakdown, EnergyRecord
+
+    records, old_terms = [], None
+    for state in states:
+        k = params.k
+        du = (state.u_curr - state.u_prev) / k
+        dv = (state.v_curr - state.v_prev) / k
+        w = state.u_curr - state.v_curr
+        terms = ((1.0, du, mass @ du), (1.0, dv, mass @ dv),
+                 (params.c**2, state.u_curr, stiffness @ state.u_curr),
+                 (params.c**2, state.v_curr, stiffness @ state.v_curr),
+                 (params.alpha, w, mass @ w))
+        parts = tuple(0.5 * weight * float(a @ pa) for weight, a, pa in terms)
+        E = sum(parts)
+        lyap = E
+        if lyapunov_params is not None:
+            cross = float(state.u_curr @ terms[0][2]) + float(state.v_curr @ terms[1][2])
+            lyap = lyapunov_params.N_weight * E + lyapunov_params.beta * cross
+        dE, residual, breakdown = 0.0, 0.0, None
+        if old_terms is not None:
+            second_u, second_v, gradient_u, gradient_v, coupling = (
+                -0.5 * weight * float((a - a_old) @ (pa - pa_old))
+                for (weight, a, pa), (_, a_old, pa_old) in zip(terms, old_terms))
+            breakdown = DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
+                                             -2.0 * params.eps_u * k * parts[0],
+                                             -2.0 * params.eps_v * k * parts[1], coupling)
+            dE = E - records[-1].E
+            residual = abs(dE - breakdown.total)
+        records.append(EnergyRecord(state.n, state.n * k, E, *parts, dE, residual, lyap,
+                                    breakdown))
+        old_terms = terms
+    return records

@@ -77,6 +77,10 @@ OWNER_ERRORS = [
      "k = 1.0 is too large for alpha = 1e\\+20", 2),
     ("mode = convergence\nk = 1e154\nT = 4e154\nlevels = 3\nn_per_side = 2\n",
      "k = 1e\\+154 is too large for alpha = 1.0", 2),
+    # the message leads with k, which these configs leave at its default, so
+    # the line is that of the key they set
+    ("mode = simulate\nalpha = 1e14\n", "k = 0.01 is too large for alpha = 100000000000000.0", 2),
+    ("mode = simulate\nT = 1.005\n", "k = 0.01 does not divide T = 1.005", 2),
 ]
 
 
@@ -396,13 +400,15 @@ def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
          "level 1 is not finite"),
         # M/k^2 and c^2 K are subnormal: on the dense route (N = 9) the block
         # inverses overflow as the operator is built, on the projected route
-        # (N = 361) the Jacobi preconditioner 1 / diag does
+        # (N = 361) the Jacobi preconditioner 1 / diag does, also as the
+        # operator is built
         ("mode = simulate\nn_per_side = 4\nc = 1e-160\nalpha = 1e-300\nk = 1e154\nT = 3e154\n"
          "initial = sine\n",
          "error: the step matrix's blocks do not invert in floating point on this mesh"),
         ("mode = simulate\nn_per_side = 20\nc = 1e-160\nalpha = 1e-300\nk = 1e154\nT = 3e154\n"
          "initial = sine\n",
-         "advancing to level 2 (t = 2e+154) failed: the matrix diagonal is too small to invert"),
+         "error: k = 1e+154 is out of range: the step matrix's diagonal (M/k^2 + c^2 K, "
+         "c = 1e-160) is too small to invert in floating point"),
         # at level 4 the right-hand side is near 1e-295 and c^2 K near 1e300, so
         # CG's preconditioned residual underflows to 0 from the (zero) dense start
         ("mode = simulate\nn_per_side = 4\nc = 1e150\neps_u = 0.5\neps_v = 0.25\nk = 0.01\n"
@@ -418,6 +424,21 @@ def test_exit_code_overflow_in_step_system(tmp_path, capsys, text, fragment):
     assert code == 1
     assert fragment in err and "Traceback" not in err and "solver failed" not in err
     assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_energy_error_comes_before_a_later_step_failure(tmp_path, capsys):
+    # level 1's Lyapunov value overflows, and the step to level 4 would fail
+    # (its preconditioned residual underflows); the earlier level's error is
+    # the one reported, although the tracker takes levels in blocks
+    text = ("mode = simulate\nn_per_side = 4\nc = 1e150\neps_u = 0.5\neps_v = 0.25\nk = 0.01\n"
+            "T = 0.05\ninitial = sine\nlyapunov_n_weight = 1e308\nlyapunov_beta = 1\n")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_cli(["--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: Lyapunov value inf at level 1 is not finite" in err
+    assert "underflowed" not in err and "Warning" not in err
     assert not out.exists()
 
 

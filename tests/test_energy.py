@@ -206,18 +206,86 @@ class CountingMatrix:
         self.products += 1
         return self.matrix @ x
 
+    def __getattr__(self, name):  # shape, data
+        return getattr(self.matrix, name)
 
-def test_tracker_takes_five_products_per_level():
-    m = msh.generate_unit_square(6)
+
+def rows_per_block(monkeypatch, rows, n_field):
+    """Set the block budget so that a tracker on N = n_field takes ``rows`` levels at once."""
+    monkeypatch.setattr(en, "BLOCK_BYTES", rows * 80 * n_field)
+
+
+def sine_run(n):
+    """(mass, stiffness, params, states) of a 10-level sine run on the n x n square."""
+    m = msh.generate_unit_square(n)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
     p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.05, T=0.5)
+    states = []
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=states.append)
+    return mass, stiff, p, states
+
+
+def test_tracker_takes_five_products_per_block(monkeypatch):
+    mass, stiff, p, states = sine_run(6)
+    rows_per_block(monkeypatch, 3, mass.shape[0])
     counted = CountingMatrix(mass), CountingMatrix(stiff)
     tracker = en.EnergyTracker(*counted, p, en.LyapunovParams(N_weight=2.0, beta=0.5))
-    reference = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(N_weight=2.0, beta=0.5))
-    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
-               observer=lambda state: (tracker(state), reference(state)))
-    assert (counted[0].products, counted[1].products) == (3 * p.M_steps, 2 * p.M_steps)
-    assert tracker.records == reference.records
+    for state in states:
+        tracker(state)
+    # 10 levels in blocks of 3, 3, 3 and 1, the last taken at level M_steps
+    # before the records are read
+    assert (counted[0].products, counted[1].products) == (3 * 4, 2 * 4)
+    assert len(tracker.records) == p.M_steps
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 1000])
+@pytest.mark.parametrize("lyapunov", [None, en.LyapunovParams(N_weight=2.0, beta=0.5)])
+def test_blocked_tracker_equals_per_level_arithmetic_bitwise(monkeypatch, rows, lyapunov):
+    # 10 levels in blocks of one row, of 3 (the last block holds one), of 4
+    # (the last holds two), and one block larger than the run
+    m = oracles.jittered_square(6, seed=3)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    p = scheme.SchemeParams(c=1.3, eps_u=0.5, eps_v=0.25, alpha=2.0, k=0.05, T=0.5)
+    rows_per_block(monkeypatch, rows, mass.shape[0])
+    tracker = en.EnergyTracker(mass, stiff, p, lyapunov)
+    states = []
+
+    def observe(state):
+        states.append(state)
+        tracker(state)
+
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine-opposed"), observer=observe)
+    # repr of a float round-trips, so equal reprs are equal bits
+    assert repr(tracker.records) == repr(oracles.per_level_records(states, mass, stiff, p,
+                                                                   lyapunov))
+
+
+def test_records_read_mid_run_are_complete_and_exact(monkeypatch):
+    mass, stiff, p, states = sine_run(6)
+    rows_per_block(monkeypatch, 4, mass.shape[0])
+    tracker = en.EnergyTracker(mass, stiff, p)
+    seen = {}
+    for state in states:
+        tracker(state)
+        if state.n in (2, 5, 6):  # reads that end blocks of 2, 3 and 1 levels early
+            seen[state.n] = repr(tracker.records)
+    expected = oracles.per_level_records(states, mass, stiff, p)
+    assert seen == {n: repr(expected[:n]) for n in (2, 5, 6)}
+    assert repr(tracker.records) == repr(expected)
+
+
+def test_energy_error_surfaces_at_its_own_level(monkeypatch, square2):
+    # a level whose energy may overflow is not left pending, so its error
+    # comes before anything a later step could raise
+    _, mass, stiff = square2
+    p = dyadic_params(k=0.25, T=2.0)
+    rows_per_block(monkeypatch, 8, mass.shape[0])
+    tracker = en.EnergyTracker(mass, stiff, p)
+    zero, one = np.zeros(1), np.ones(1)
+    tracker(scheme.State(1, zero, one, zero, zero))
+    with pytest.raises(ValueError, match="energy inf at level 2 is not finite"):
+        tracker(scheme.State(2, one, np.array([1e200]), zero, zero))
+    assert [r.n for r in tracker.records] == [1]
 
 
 def test_tracker_layout():

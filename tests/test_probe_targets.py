@@ -46,3 +46,18 @@ def test_every_probe_target_exists():
     targets = json.loads(proc.stdout)
     missing = [f"{module}.{attr}" for module, attr, present in targets if not present]
     assert targets and not missing, missing
+
+
+def test_observers_keep_the_modules_the_probe_names_spans_after():
+    # the probe names an observer's span after the last part of its class's
+    # module: energy.tracker and mms.error_observer, else a generic observer
+    from coupledwave import assembly, energy, mesh, mms, scheme
+
+    m = mesh.generate_unit_square(2)
+    mass, stiffness = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
+    params = scheme.SchemeParams(c=1.0, eps_u=0.0, eps_v=0.0, alpha=1.0, k=0.5, T=1.0)
+    tracker = energy.EnergyTracker(mass, stiffness, params)
+    case = mms.build_case("separable-decay", params)
+    observer = mms._ErrorObserver(mass, stiffness, case, scheme.sine_mode(m.vertices), params)
+    assert type(tracker).__module__.rsplit(".", 1)[-1] == "energy"
+    assert type(observer).__module__.rsplit(".", 1)[-1] == "mms"

@@ -382,27 +382,18 @@ def test_inverse_diagonal_computed_once_per_run(monkeypatch):
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=0.8, eps_u=0.5)
     calls = recording_solves(monkeypatch)
-    diagonals = []
-    make = scheme.BlockOperator
+    inverses = []
+    jacobi_inverse = scheme.jacobi_inverse
 
-    def counting(*args):
-        op = make(*args)
-        decoupled = op.decoupled
-        original = decoupled.diagonal
+    def counting(A):
+        inverses.append(jacobi_inverse(A))
+        return inverses[-1]
 
-        def diagonal(*a, **kw):
-            diagonals.append(1)
-            return original(*a, **kw)
-
-        decoupled.diagonal = diagonal
-        return op
-
-    monkeypatch.setattr(scheme, "BlockOperator", counting)
+    # the operator computes it as it is built, and every solve reuses it
+    monkeypatch.setattr(scheme, "jacobi_inverse", counting)
     scheme.run(m, *matrices(m), p, scheme.initial_preset("sine"))
     assert len(calls) == p.M_steps - 1
-    inv_diag = calls[0][2]
-    assert inv_diag is not None and all(c[2] is inv_diag for c in calls)
-    assert len(diagonals) == 1
+    assert len(inverses) == 1 and all(c[2] is inverses[0] for c in calls)
 
 
 def counting_iterations(monkeypatch):
