@@ -20,11 +20,12 @@ term and is reported for monitoring, not enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .scheme import SchemeParams, State
+from .sparse_linalg import dot
 
 
 class InsufficientDataError(ValueError):
@@ -45,7 +46,7 @@ class DissipationBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, f.name) for f in fields(self))
+        return sum(getattr(self, name) for name in self.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,9 @@ def energy_terms(u_prev, u_curr, v_prev, v_curr, mass, stiffness, params: Scheme
         (1.0, mass, (u_curr - u_prev) / k), (1.0, mass, (v_curr - v_prev) / k),
         (c2, stiffness, u_curr), (c2, stiffness, v_curr),
         (params.alpha, mass, u_curr - v_curr))]
-    dots = zip(*(np.vecdot(a, pa).tolist() for _, a, pa in terms))
-    parts = [tuple(0.5 * weight * dot for (weight, _, _), dot in zip(terms, row)) for row in dots]
-    return terms, parts
+    halves = [0.5 * weight for weight, _, _ in terms]
+    dots = zip(*(dot(a, pa).tolist() for _, a, pa in terms))
+    return terms, [tuple(half * d for half, d in zip(halves, row)) for row in dots]
 
 
 def _product(matrix, a: np.ndarray) -> np.ndarray:
@@ -132,9 +133,9 @@ def _product(matrix, a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((matrix @ a.T).T)
 
 
-def _increments(x: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """The row differences x[i] - x[i-1], with ``before`` in place of x[-1]."""
-    out = x - before  # right in row 0
+def _increments(x: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """The row differences x[i] - x[i-1], with old[-1] in place of x[-1]."""
+    out = x - old[-1:]  # right in row 0
     if len(x) > 1:
         np.subtract(x[1:], x[:-1], out=out[1:])
     return out
@@ -178,14 +179,14 @@ class EnergyTracker:
         self._records: list = []
         self._pending: list = []  # the states observed since the last block
         self._last = None  # the last state observed
-        self._carry = None  # (a, P a) of the five terms at the last record's level
+        self._carry = None  # the five (weight, a, P a) of the last block
         self._squares = None  # |u|^2 + |v|^2 of the last pending state
         self._rows = max(1, BLOCK_BYTES // (80 * max(mass.shape[0], 1)))
         # (1 + S) growth / 4 bounds a level's energy, Lyapunov value and every
         # vector and sum they take, S the squared norms of its four fields
         # (the Frobenius norms of M and K bound their spectral norms)
         with np.errstate(over="ignore"):
-            norms = 1.0 + float(np.linalg.norm(mass.data) + np.linalg.norm(stiffness.data))
+            norms = 1.0 + sum(math.sqrt(dot(m.data, m.data)) for m in (mass, stiffness))
         lp = lyapunov_params
         weights = 1.0 + (lp.N_weight + lp.beta if lp else 0.0)
         self._growth = (8.0 * (1.0 + 1.0 / params.k / params.k) * norms
@@ -193,9 +194,9 @@ class EnergyTracker:
 
     def __call__(self, state: State) -> None:
         last = self._last
-        if last is not None and (last.n != state.n - 1 or not all(
-                a is b or np.array_equal(a, b)
-                for a, b in ((last.u_curr, state.u_prev), (last.v_curr, state.v_prev)))):
+        if last is not None and (last.n != state.n - 1 or not (
+                (last.u_curr is state.u_prev or np.array_equal(last.u_curr, state.u_prev))
+                and (last.v_curr is state.v_prev or np.array_equal(last.v_curr, state.v_prev)))):
             raise ValueError("tracker must observe consecutive states of one run")
         self._last = state
         self._pending.append(state)
@@ -206,10 +207,9 @@ class EnergyTracker:
     @np.errstate(over="ignore", invalid="ignore")
     def _certainly_finite(self, state: State) -> bool:
         if self._squares is None:
-            self._squares = float(np.dot(state.u_prev, state.u_prev)
-                                  + np.dot(state.v_prev, state.v_prev))
-        previous, self._squares = self._squares, float(np.dot(state.u_curr, state.u_curr)
-                                                       + np.dot(state.v_curr, state.v_curr))
+            self._squares = dot(state.u_prev, state.u_prev) + dot(state.v_prev, state.v_prev)
+        previous, self._squares = self._squares, (dot(state.u_curr, state.u_curr)
+                                                  + dot(state.v_curr, state.v_curr))
         return (1.0 + previous + self._squares) * self._growth < math.inf
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -228,14 +228,13 @@ class EnergyTracker:
         terms, parts = energy_terms(*fields, self.mass, self.stiffness, p)
         if lp is not None:
             # M is symmetric, so the cross term du.(M u) + dv.(M v) = u.(M du) + v.(M dv)
-            cross = (np.vecdot(fields[1], terms[0][2])
-                     + np.vecdot(fields[3], terms[1][2])).tolist()
+            cross = (dot(fields[1], terms[0][2]) + dot(fields[3], terms[1][2])).tolist()
         # the five terms on the step's increments; the run's first level has
         # no step, and stands in for its own predecessor
-        carry = self._carry or [(a[:1], pa[:1]) for _, a, pa in terms]
-        steps = zip(*(np.vecdot(_increments(a, a_old), _increments(pa, pa_old)).tolist()
-                      for (_, a, pa), (a_old, pa_old) in zip(terms, carry)))
-        self._carry = [(a[-1:], pa[-1:]) for _, a, pa in terms]
+        carry = self._carry or [(weight, a[:1], pa[:1]) for weight, a, pa in terms]
+        steps = zip(*(dot(_increments(a, a_old), _increments(pa, pa_old)).tolist()
+                      for (_, a, pa), (_, a_old, pa_old) in zip(terms, carry)))
+        self._carry = terms
         for i, (state, part, step) in enumerate(zip(pending, parts, steps)):
             n = state.n
             E = _finite("energy", sum(part), n)
@@ -244,7 +243,7 @@ class EnergyTracker:
             dE, residual, breakdown = 0.0, 0.0, None
             if self._records:
                 second_u, second_v, gradient_u, gradient_v, coupling = (
-                    -0.5 * weight * dot for (weight, _, _), dot in zip(terms, step))
+                    -0.5 * weight * d for (weight, _, _), d in zip(terms, step))
                 # friction from the new kinetic parts
                 breakdown = DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
                                                  -2.0 * p.eps_u * p.k * part[0],

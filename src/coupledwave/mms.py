@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import assembly, energy
-from .mesh import Mesh, refine_uniform
+from .mesh import Mesh, cell_diameters, refine_uniform
 from .scheme import SchemeParams, State, run, sine_mode, solver_start
 from .sparse_linalg import SolverConfig, SolverFailure, with_context
 
@@ -207,6 +207,12 @@ def convergence_study(case_name: str, base_mesh: Mesh, base_k: float, levels: in
     case = build_case(case_name, params)
     if case.dim != base_mesh.dim:
         raise ValueError(f"case {case_name!r} is {case.dim}d but the mesh is {base_mesh.dim}d")
+    # c^2/h^2, the step's stiffness against its mass term, overflows first on the
+    # finest mesh (h its smallest cell diameter), where the products would too
+    h = float(cell_diameters(base_mesh.vertices, base_mesh.cells).min()) / 2 ** (levels - 1)
+    if not math.isfinite(params.c * params.c / h / h):
+        raise ValueError(f"c = {params.c!r} is out of range: c^2/h^2 is not finite on the "
+                         f"finest mesh of the study (level {levels - 1}, h = {h:.3g})")
     records = []
     mesh = base_mesh
     for level in range(levels):

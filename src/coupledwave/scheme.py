@@ -54,7 +54,8 @@ import scipy.sparse as sp
 
 from . import assembly
 from .mesh import Mesh
-from .sparse_linalg import SolverConfig, SolverFailure, jacobi_inverse, solve_spd, with_context
+from .sparse_linalg import (SolverConfig, SolverFailure, dot, jacobi_inverse, solve_spd,
+                            with_context)
 
 # the projection falls back to extrapolation when det G <= GRAM_TOL g11 g22.
 # det G = g11 g22 sin^2 of the A-angle between the last two solutions, and G
@@ -233,8 +234,8 @@ class BlockOperator:
         if len(self._history) < 2 or state is not self._tip:
             return None
         (x1, b1, g11), (x2, b2, g22) = self._history
-        g12 = 0.5 * (float(x1 @ b2) + float(x2 @ b1))
-        c1, c2 = float(x1 @ b), float(x2 @ b)
+        g12 = 0.5 * (dot(x1, b2) + dot(x2, b1))
+        c1, c2 = dot(x1, b), dot(x2, b)
         det = g11 * g22 - g12 * g12
         # false for NaN and infinite entries as well
         if not (g11 > 0.0 and det > GRAM_TOL * g11 * g22):
@@ -245,7 +246,7 @@ class BlockOperator:
     @np.errstate(over="ignore", invalid="ignore")
     def record(self, x: np.ndarray, b: np.ndarray, state: State) -> None:
         """Store the solve x of the rotated system with rhs b that produced ``state``."""
-        self._history = [(x, b, float(x @ b))] + self._history[:1]
+        self._history = [(x, b, dot(x, b))] + self._history[:1]
         self._tip = state
 
 

@@ -13,6 +13,12 @@ scheme starts it from an exact dense solve (``scheme.DENSE_START_MAX_N``);
 CG still computes b - A x0 and applies the stopping rule, so such a solve
 returns after 0 iterations and a start that falls short is iterated on, with
 every failure below still raised.
+
+Every dot product a run takes is ``dot``: one BLAS ddot per piece of at most
+DOT_CHUNK entries.  OpenBLAS threads a ddot of more than 10000 entries, and
+its worker then spins for about 0.1 s (CG's dots at 2N = 32258 kept a second
+core busy all run) and rounds unlike the serial sum, which made outputs
+depend on OPENBLAS_NUM_THREADS.  A piece never wakes the thread pool.
 """
 
 from __future__ import annotations
@@ -25,6 +31,26 @@ import scipy.sparse as sp
 
 # below this a sum of squares may have lost digits to underflow
 _SQUARES_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+# the longest piece of a dot product, below OpenBLAS's 10000-entry threshold
+DOT_CHUNK = 8192
+
+
+def dot(a: np.ndarray, b: np.ndarray):
+    """a . b as a float for 1-D a and b, one value per row for (rows, n) arrays.
+
+    Pieces are summed from the left, the first first, so each row's value
+    equals bitwise the 1-D dot of that row; up to DOT_CHUNK it is ``a @ b``,
+    taken by np.dot for 1-D arrays, which costs less per call than vecdot.
+    """
+    n = a.shape[-1]
+    if n <= DOT_CHUNK:
+        return float(np.dot(a, b)) if a.ndim == 1 else np.vecdot(a, b)
+    total = np.vecdot(a[..., :DOT_CHUNK], b[..., :DOT_CHUNK])
+    for start in range(DOT_CHUNK, n, DOT_CHUNK):
+        piece = slice(start, start + DOT_CHUNK)
+        total = total + np.vecdot(a[..., piece], b[..., piece])
+    return float(total) if a.ndim == 1 else total
 
 
 @dataclass(frozen=True)
@@ -144,13 +170,13 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
         return x, 0, res
     z = r * inv_diag
     p = z.copy()
-    rz = float(r @ z)
+    rz = dot(r, z)
     for it in range(1, max_iter + 1):
         if rz == 0.0:  # r . z is positive unless z = r / diag(A) underflowed
             raise ValueError(f"the solve underflowed at iteration {it}: the residual "
                              f"divided by the matrix diagonal is 0 in floating point")
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = dot(p, Ap)
         if not 0.0 < pAp < math.inf:
             if pAp <= 0.0:
                 raise SolverFailure(
@@ -167,7 +193,7 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
         if res <= target:
             return x, it, res
         np.multiply(r, inv_diag, out=z)
-        rz_next = float(r @ z)
+        rz_next = dot(r, z)
         p *= rz_next / rz
         p += z
         rz = rz_next
@@ -182,14 +208,14 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm; rescaled by max |v_i| where the plain sum of squares
     would over- or underflow (entries beyond about 1e154 or below 1e-154)."""
-    squares = float(v @ v)
+    squares = dot(v, v)
     if _SQUARES_FLOOR <= squares < math.inf:
         return math.sqrt(squares)
     scale = float(np.abs(v).max())
     if not 0.0 < scale < math.inf:
         return scale
     w = v / scale
-    return scale * math.sqrt(float(w @ w))
+    return scale * math.sqrt(dot(w, w))
 
 
 def _check_diagonal(diag: np.ndarray) -> None:

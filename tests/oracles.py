@@ -194,12 +194,13 @@ def per_level_records(states, mass, stiffness, params, lyapunov_params=None) -> 
     """EnergyRecords of consecutive states, one level at a time.
 
     This is the tracker's arithmetic taken level by level, with one sparse
-    matrix-vector product per energy term and one dot product per sum, in
-    the order the tracker keeps: parts 1/2 weight a.(P a), E their sum from
+    matrix-vector product per energy term and one ``sparse_linalg.dot`` per
+    sum, in the order the tracker keeps: parts 1/2 weight a.(P a), E their sum from
     the left, the dissipation terms -1/2 weight (a - a_old).(P a - P a_old)
     and friction -2 eps k times the new kinetic part.
     """
     from coupledwave.energy import DissipationBreakdown, EnergyRecord
+    from coupledwave.sparse_linalg import dot
 
     records, old_terms = [], None
     for state in states:
@@ -211,16 +212,16 @@ def per_level_records(states, mass, stiffness, params, lyapunov_params=None) -> 
                  (params.c**2, state.u_curr, stiffness @ state.u_curr),
                  (params.c**2, state.v_curr, stiffness @ state.v_curr),
                  (params.alpha, w, mass @ w))
-        parts = tuple(0.5 * weight * float(a @ pa) for weight, a, pa in terms)
+        parts = tuple(0.5 * weight * dot(a, pa) for weight, a, pa in terms)
         E = sum(parts)
         lyap = E
         if lyapunov_params is not None:
-            cross = float(state.u_curr @ terms[0][2]) + float(state.v_curr @ terms[1][2])
+            cross = dot(state.u_curr, terms[0][2]) + dot(state.v_curr, terms[1][2])
             lyap = lyapunov_params.N_weight * E + lyapunov_params.beta * cross
         dE, residual, breakdown = 0.0, 0.0, None
         if old_terms is not None:
             second_u, second_v, gradient_u, gradient_v, coupling = (
-                -0.5 * weight * float((a - a_old) @ (pa - pa_old))
+                -0.5 * weight * dot(a - a_old, pa - pa_old)
                 for (weight, a, pa), (_, a_old, pa_old) in zip(terms, old_terms))
             breakdown = DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
                                              -2.0 * params.eps_u * k * parts[0],

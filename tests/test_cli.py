@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -221,6 +222,44 @@ def test_byte_identical_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# 2N = 10082: CG's dots are longer than the 10000 entries from which OpenBLAS
+# threads a ddot
+THREADED_SIZE_CONFIG = "mode = simulate\nn_per_side = 72\nk = 0.01\nT = 0.05\ninitial = sine\n"
+
+
+def test_byte_identical_reruns_across_blas_thread_counts(tmp_path):
+    cfg = write_config(tmp_path, THREADED_SIZE_CONFIG)
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coupledwave", "--config", cfg,
+             "--out-dir", str(tmp_path / threads), "--quiet"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("energy.csv", "summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_run_leaves_no_other_thread_busy():
+    # a BLAS worker woken by a long dot spins for about 0.1 s after it; let any
+    # left by earlier tests go idle, then count the CPU time of every thread
+    # but this one over the run and a pause after it
+    cfg = parse_config(THREADED_SIZE_CONFIG)
+    domain = msh.generate_unit_square(cfg.n_per_side)
+    mass, stiffness = assembly.assemble_mass(domain), assembly.assemble_stiffness(domain)
+    time.sleep(0.3)
+    process, thread = time.process_time(), time.thread_time()
+    tracker = EnergyTracker(mass, stiffness, cfg.scheme_params)
+    scheme.run(domain, mass, stiffness, cfg.scheme_params, scheme.initial_preset(cfg.initial),
+               observer=tracker)
+    time.sleep(0.2)
+    others = (time.process_time() - process) - (time.thread_time() - thread)
+    assert len(tracker.records) == cfg.scheme_params.M_steps
+    assert others < 0.02
+
+
 def test_quiet_suppresses_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, SINE_CONFIG)
     assert run_cli(["--config", cfg, "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
@@ -386,12 +425,12 @@ def test_exit_code_nonfinite_lyapunov_value(tmp_path, capsys):
         # a convergence study with the same c fails earlier, on its manufactured source
         ("mode = convergence\ndomain = interval\ncase = separable-decay-1d\nc = 1e154\n"
          "k = 0.1\nT = 0.2\nlevels = 3\n", "c = 1e+154 is out of range"),
-        # every input is finite, but at refinement level 2 the row sums of the
-        # step matrix are not, so CG's products overflow (its norms alone do
-        # not: they are taken safely, and level 1 solves)
+        # every input is finite, but on the finest mesh of the study (n = 16)
+        # c^2/h^2 is not, and CG's products would overflow at refinement level 2;
+        # the study stops before level 0
         ("mode = convergence\ndomain = interval\nn_per_side = 4\ncase = separable-decay-1d\n"
          "c = 2e153\neps_u = 0.5\neps_v = 0.25\nalpha = 1.0\nk = 0.1\nT = 0.2\nlevels = 3\n",
-         "refinement level 2: advancing to level 2 (t = 0.05) failed: the solve overflowed"),
+         "error: c = 2e+153 is out of range: c^2/h^2 is not finite on the finest mesh"),
         # the MMS error composite of the startup level overflows although each
         # error is finite: the Taylor start u + k u_t leaves errors of order k
         ("mode = convergence\nk = 1e154\nT = 4e154\nlevels = 3\nn_per_side = 2\n"

@@ -238,12 +238,20 @@ def test_tracker_takes_five_products_per_block(monkeypatch):
     assert len(tracker.records) == p.M_steps
 
 
-@pytest.mark.parametrize("rows", [1, 3, 4, 1000])
-@pytest.mark.parametrize("lyapunov", [None, en.LyapunovParams(N_weight=2.0, beta=0.5)])
-def test_blocked_tracker_equals_per_level_arithmetic_bitwise(monkeypatch, rows, lyapunov):
+_LYAPUNOV = en.LyapunovParams(N_weight=2.0, beta=0.5)
+
+
+@pytest.mark.parametrize("lyapunov,rows,n", [
+    *(pytest.param(lyapunov, rows, 6, id=f"{tag}-{rows}")
+      for tag, lyapunov in (("None", None), ("lyapunov1", _LYAPUNOV))
+      for rows in (1, 3, 4, 1000)),
+    # N = 8281 > sparse_linalg.DOT_CHUNK: every row dot comes in two pieces
+    pytest.param(_LYAPUNOV, 3, 92, id="lyapunov1-3-N8281"),
+])
+def test_blocked_tracker_equals_per_level_arithmetic_bitwise(monkeypatch, lyapunov, rows, n):
     # 10 levels in blocks of one row, of 3 (the last block holds one), of 4
     # (the last holds two), and one block larger than the run
-    m = oracles.jittered_square(6, seed=3)
+    m = oracles.jittered_square(n, seed=3)
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
     p = scheme.SchemeParams(c=1.3, eps_u=0.5, eps_v=0.25, alpha=2.0, k=0.05, T=0.5)
     rows_per_block(monkeypatch, rows, mass.shape[0])

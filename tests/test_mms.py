@@ -222,6 +222,15 @@ def test_convergence_study_rejects_dimension_mismatch():
         )
 
 
+def test_convergence_study_rejects_a_ladder_whose_stiffness_overflows(monkeypatch):
+    # c^2/h^2 is finite on the base interval (n = 4) but not at n = 16, where
+    # CG's products would overflow; the study stops before its first level
+    monkeypatch.setattr(mms, "measure_error", lambda *args: pytest.fail("a level ran"))
+    with pytest.raises(ValueError, match=r"^c = 2e\+153 is out of range: c\^2/h\^2"):
+        mms.convergence_study("separable-decay-1d", msh.generate_unit_interval(4), 0.1, 3,
+                              make_params(T=0.2, c=2e153))
+
+
 def test_convergence_zero_case_reports_nan_order():
     report = mms.convergence_study("zero", msh.generate_unit_square(2), 0.1, 3, make_params())
     assert all(r.error == 0.0 for r in report.levels)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from coupledwave import assembly as asm
 from coupledwave import mesh as msh
 from coupledwave.sparse_linalg import (
+    DOT_CHUNK,
     SolverConfig,
     SolverFailure,
     cg_jacobi,
+    dot,
     jacobi_inverse,
     solve_spd,
 )
@@ -231,3 +233,21 @@ def test_zero_rhs_shortcut_comes_first():
     x = solve_spd(A, np.zeros(2), x0=np.array([np.nan, 1.0]))
     assert (x == 0.0).all()
 
+
+
+@pytest.mark.parametrize("n", [1, 225, DOT_CHUNK])
+def test_dot_up_to_the_chunk_is_one_serial_dot(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    assert type(dot(a, b)) is float
+    assert dot(a, b) == a @ b
+    assert dot(a[None], b[None]).tolist() == [a @ b]
+
+
+def test_dot_rows_equal_their_one_dimensional_dots():
+    # 16129 entries come in two pieces, summed from the left
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((3, 16129)), rng.standard_normal((3, 16129))
+    assert dot(a, b).tolist() == [dot(x, y) for x, y in zip(a, b)]
+    head, tail = slice(0, DOT_CHUNK), slice(DOT_CHUNK, None)
+    assert dot(a[0], b[0]) == a[0, head] @ b[0, head] + a[0, tail] @ b[0, tail]
