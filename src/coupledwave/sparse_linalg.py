@@ -91,13 +91,16 @@ def with_context(exc: SolverFailure | ValueError, context: str) -> SolverFailure
 
 
 def solve_spd(A, b: np.ndarray, config: SolverConfig = SolverConfig(),
-              x0: np.ndarray | None = None, inv_diag: np.ndarray | None = None) -> np.ndarray:
+              x0: np.ndarray | None = None, inv_diag: np.ndarray | None = None,
+              residual: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
     Stops when ||b - A x|| <= rel_tol * ||b||.  A zero right-hand side
     returns the exact zero vector without iterating.  CG starts from x0
     when given (zero otherwise) and preconditions with ``inv_diag`` when
-    given (``jacobi_inverse(A)`` otherwise); the Cholesky route ignores both.
+    given (``jacobi_inverse(A)`` otherwise), and writes its final residual
+    b - A x into ``residual`` when given (0 for a zero b); the Cholesky route
+    ignores all three.
 
     Raises
     ------
@@ -111,6 +114,8 @@ def solve_spd(A, b: np.ndarray, config: SolverConfig = SolverConfig(),
     if A.shape != (n, n) or b.ndim != 1:
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
     if not b.any():
+        if residual is not None:
+            residual.fill(0.0)
         return np.zeros(n)
     if not np.isfinite(b).all():
         raise ValueError("the right-hand side is not finite (an input or source overflowed)")
@@ -123,7 +128,7 @@ def solve_spd(A, b: np.ndarray, config: SolverConfig = SolverConfig(),
         _check_diagonal(np.diagonal(dense))
         factor = scipy.linalg.cho_factor(dense, lower=True)
         return scipy.linalg.cho_solve(factor, b)
-    x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0, inv_diag)
+    x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0, inv_diag, residual)
     return x
 
 
@@ -148,11 +153,12 @@ def jacobi_inverse(A) -> np.ndarray:
 # overflow inside CG is detected and reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | None = None,
-              inv_diag: np.ndarray | None = None):
+              inv_diag: np.ndarray | None = None, residual: np.ndarray | None = None):
     """Jacobi preconditioned conjugate gradient from x0 (zero when omitted).
 
-    Returns (x, iterations, residual); a start whose residual already
-    meets rel_tol * ||b|| returns after 0 iterations.  ``inv_diag`` is the
+    Returns (x, iterations, ||r||) for r = b - A x as CG updates it, in the
+    array ``residual`` when one is given; a start whose ||r|| already meets
+    rel_tol * ||b|| returns after 0 iterations.  ``inv_diag`` is the
     preconditioner ``jacobi_inverse(A)``, computed here when omitted, so a
     caller solving with one matrix many times passes it in.  Norms are safe
     for entries beyond the square root of the float range; an iterate whose
@@ -164,7 +170,7 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
 
     target = rel_tol * _norm(b)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
+    r = np.subtract(b, A @ x, out=residual)
     res = _norm(r)
     if res <= target:
         return x, 0, res

@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 
 from coupledwave import assembly as asm
+from coupledwave import energy as en
 from coupledwave import mesh as msh
-from coupledwave import scheme, sparse_linalg
+from coupledwave import mms, scheme, sparse_linalg
 from coupledwave.sparse_linalg import SolverConfig, SolverFailure, solve_spd
 
 # criterion 6's damping grid plus equal nonzero damping
@@ -265,9 +267,9 @@ def recording_solves(monkeypatch):
     calls = []
     solve = scheme.solve_spd
 
-    def record(A, b, config=None, x0=None, inv_diag=None):
+    def record(A, b, config=None, x0=None, inv_diag=None, residual=None):
         calls.append((b, x0, inv_diag))
-        return solve(A, b, config, x0=x0, inv_diag=inv_diag)
+        return solve(A, b, config, x0=x0, inv_diag=inv_diag, residual=residual)
 
     monkeypatch.setattr(scheme, "solve_spd", record)
     return calls
@@ -311,15 +313,19 @@ def test_rest_state_never_builds_a_nan_guess(monkeypatch, projected_start):
         assert (state.u_curr == 0.0).all() and (state.v_curr == 0.0).all()
     assert len(calls) == 4
     assert all(np.isfinite(x0).all() for _, x0, _ in calls)
-    # G is zero here, so the projection declines
+    # every recorded A x is the zero right-hand side's r = 0
+    assert len(op._history) == 3 and not any(ax.any() for _, ax, _ in op._history)
+    # G is zero here, so the projection declines, and d . A d = 0 stops the line search
     assert op.projected_guess(state, np.ones(op.decoupled.shape[0])) is None
 
 
-@pytest.mark.parametrize("overflow", ["gram", "guess"])
+@pytest.mark.parametrize("overflow", ["gram", "guess", "line"])
 def test_projection_falls_back_on_overflow(overflow):
-    # "gram": the Gram products of a huge history overflow; "guess": G is finite
-    # and well conditioned, but the combination of two nearly parallel
-    # solutions that a huge right-hand side needs does not fit in a float
+    # "gram": the Gram products of a huge history overflow, and so does the
+    # line search's d . A d; "guess": G is finite and well conditioned, but the
+    # combination of two nearly parallel solutions that a huge right-hand side
+    # needs does not fit in a float; "line": G declines over three nearly
+    # parallel solutions and the line search's step t d overflows
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=0.6)
     op = scheme.BlockOperator(*matrices(m), p)
@@ -329,26 +335,92 @@ def test_projection_falls_back_on_overflow(overflow):
     older = rng.standard_normal(n)
     newer = older + 1e-4 * rng.standard_normal(n)
     b = 1e305 * (op.decoupled @ rng.standard_normal(n))
+    history = (older, newer)
     if overflow == "gram":
-        older, newer, b = 1e200 * older, -0.5e200 * older, np.ones(n)
-    op.record(older, op.decoupled @ older, state)
-    op.record(newer, op.decoupled @ newer, state)
+        history, b = (1e200 * older, -0.5e200 * older), np.ones(n)
+    elif overflow == "line":
+        history = (older, older + 1e-8 * newer, older + 2e-8 * newer)
+    for x in history:
+        op.record(x, op.decoupled @ x, state)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert op.projected_guess(state, b) is None
 
 
+def nearly_parallel_history(op, state, count):
+    """Record ``count`` exact solves (x, A x) whose A-angles are about 1e-7 apart."""
+    x, y, z = np.random.default_rng(2).standard_normal((3, op.decoupled.shape[0]))
+    for j in range(count):
+        v = x + 1e-7 * j * y + 1e-9 * j * j * z
+        op.record(v, op.decoupled @ v, state)
+    return [v for v, _, _ in op._history]
+
+
+def next_right_hand_side(op, xs):
+    """A x for an x that continues the recorded chain, off its lines by 1e-9."""
+    w = np.random.default_rng(3).standard_normal(op.decoupled.shape[0])
+    return op.decoupled @ (2.0 * xs[0] - xs[1] + 1e-9 * w)
+
+
+def line_search_step(op, xs, d, b):
+    """t d with b - A (x_n + t d) orthogonal to d, from explicit products."""
+    return (d @ (b - op.decoupled @ xs[0])) / (d @ (op.decoupled @ d)) * d
+
+
+def assert_line_search(op, xs, d, b, x0):
+    # A d from the recorded products carries their rounding, eps ||A x||, which
+    # is large next to A d itself (5e-10 of the step here)
+    step = line_search_step(op, xs, d, b)
+    np.testing.assert_allclose(x0 - xs[0], step, rtol=0, atol=1e-7 * np.abs(step).max())
+    # the start's residual is orthogonal to d at the rounding level (2e-17, 4e-17)
+    assert abs(d @ (b - op.decoupled @ x0)) <= 1e-14 * np.linalg.norm(d) * np.linalg.norm(b)
+
+
 def test_projection_declines_nearly_parallel_solutions():
     # sin^2 of their angle is about 1e-14: det G is positive but below
-    # GRAM_TOL g11 g22, where G's own error would dominate its inverse
+    # GRAM_TOL g11 g22, so the projection declines and the line search along
+    # x_n - x_{n-1} answers (two solves are recorded)
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=0.6)
     op = scheme.BlockOperator(*matrices(m), p)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
-    x, y = np.random.default_rng(2).standard_normal((2, op.decoupled.shape[0]))
-    for v in (x, x + 1e-7 * y):
-        op.record(v, op.decoupled @ v, state)
-    assert op.projected_guess(state, np.ones(op.decoupled.shape[0])) is None
+    xs = nearly_parallel_history(op, state, 2)
+    (_, _, g11), (_, a2, g22) = op._history
+    g12 = xs[0] @ a2
+    assert g11 * g22 - g12 * g12 <= scheme.GRAM_TOL * g11 * g22
+    b = next_right_hand_side(op, xs)
+    x0 = op.projected_guess(state, b)
+    assert_line_search(op, xs, xs[0] - xs[1], b, x0)
+
+
+def test_line_search_takes_the_second_order_step_over_three_solves():
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=0.6)
+    op = scheme.BlockOperator(*matrices(m), p)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    xs = nearly_parallel_history(op, state, 4)  # the oldest of four drops out
+    assert len(xs) == 3
+    b = next_right_hand_side(op, xs)
+    x0 = op.projected_guess(state, b)
+    assert_line_search(op, xs, 2.0 * xs[0] - 3.0 * xs[1] + xs[2], b, x0)
+    # which is not the line along x_n - x_{n-1}
+    first = line_search_step(op, xs, xs[0] - xs[1], b)
+    assert np.abs(x0 - xs[0] - first).max() > 1e-3 * np.abs(first).max()
+
+
+def test_recorded_product_is_the_operator_applied_to_the_solution(monkeypatch, projected_start):
+    # A x is recorded as b - r from CG's final residual, with no product taken;
+    # on a fine-mesh-sized system it equals the product to rounding
+    m = oracles.jittered_square(128, seed=5)
+    p = params_for(k=0.01, T=0.05, eps_u=0.5, eps_v=0.25)
+    op = scheme.BlockOperator(*matrices(m), p)
+    calls = recording_solves(monkeypatch)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    for _ in range(3):
+        state = scheme.step(state, op)
+    assert len(op._history) == 3
+    for (b, _, _), (x, ax, _) in zip(reversed(calls), op._history):
+        assert np.linalg.norm(ax - op.decoupled @ x) <= 1e-14 * np.linalg.norm(b)
 
 
 def test_projection_applies_only_to_the_state_it_recorded(projected_start):
@@ -359,7 +431,7 @@ def test_projection_applies_only_to_the_state_it_recorded(projected_start):
     for _ in range(3):
         state = scheme.step(state, op)
     b = np.ones(op.decoupled.shape[0])
-    assert op.projected_guess(state, b) is not None
+    assert len(op._history) == 3 and op.projected_guess(state, b) is not None
     copy = scheme.State(state.n, state.u_prev, state.u_curr, state.v_prev, state.v_curr)
     assert op.projected_guess(copy, b) is None
 
@@ -489,3 +561,43 @@ def test_dense_start_short_of_tolerance_still_iterates(monkeypatch):
     np.testing.assert_allclose(new.v_curr, expected.v_curr, rtol=0, atol=1e-11)
     with pytest.raises(SolverFailure, match="in 1 iterations"):
         scheme.step(start, scaled_start(SolverConfig(rel_tol=1e-12, max_iter=1)))
+
+
+def test_line_search_keeps_a_single_mode_run_inside_criterion_one():
+    # one discrete mode excited: the earlier solves' residuals lie along it.
+    # Recording b instead of A x = b - r biased t along that mode and took the
+    # identity residual to 1.4 times criterion 1's budget; it reads 6.3e-4 of it
+    m = msh.generate_unit_interval(1024)
+    mass, stiff = matrices(m)
+    p = scheme.SchemeParams(c=3.0, eps_u=0.1, eps_v=0.1, alpha=5.0, k=5e-4, T=0.2)
+    tracker = en.EnergyTracker(mass, stiff, p)
+    scheme.run(m, mass, stiff, p, scheme.initial_preset("sine-opposed"), observer=tracker)
+    budget = 1e-10 * max(tracker.records[0].E, 1.0)
+    assert tracker.max_identity_residual <= 1e-3 * budget
+
+
+def test_line_search_start_beats_extrapolation_where_the_projection_declines(monkeypatch):
+    # the manufactured solution is one mode times e^{-t}, so successive
+    # solutions are nearly parallel and most solves decline the projection
+    declined = []
+    line_search = scheme.BlockOperator._line_search
+
+    def spy(op, b):
+        x0 = line_search(op, b)
+        (x1, _, _), (x2, _, _) = op._history[:2]
+        declined.append((op.decoupled, b, x0, 2.0 * x1 - x2))
+        return x0
+
+    monkeypatch.setattr(scheme.BlockOperator, "_line_search", spy)
+    p = params_for(k=0.005, T=0.1, eps_u=0.5, eps_v=0.25)
+    mms.measure_error(mms.build_case("separable-decay", p), msh.generate_unit_square(32), p)
+    assert len(declined) >= 10
+    solve = spla.splu(declined[0][0].tocsc()).solve
+    for A, b, x0, extrapolated in declined:
+        exact = solve(b)
+
+        def a_error(x):
+            e = x - exact
+            return float(e @ (A @ e))
+
+        assert a_error(x0) <= a_error(extrapolated)

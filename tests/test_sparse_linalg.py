@@ -228,6 +228,20 @@ def test_non_finite_input_is_a_value_error(bad, method):
         solve_spd(A.tocsr(), b, SolverConfig(method=method), x0=x0)
 
 
+def test_cg_hands_back_its_residual():
+    # CG's own final r, updated in the caller's array; exactly 0 for a zero
+    # right-hand side, which takes no CG step
+    m = msh.generate_unit_square(6)
+    A = asm.assemble_stiffness(m) + asm.assemble_mass(m)
+    b = np.random.default_rng(6).standard_normal(A.shape[0])
+    residual = np.full_like(b, np.nan)
+    x = solve_spd(A, b, SolverConfig(rel_tol=1e-8), residual=residual)
+    assert np.linalg.norm(residual - (b - A @ x)) <= 1e-14 * np.linalg.norm(b)
+    assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(b)
+    solve_spd(A, np.zeros_like(b), residual=residual)
+    assert (residual == 0.0).all()
+
+
 def test_zero_rhs_shortcut_comes_first():
     A = np.diag([1.0, np.inf])
     x = solve_spd(A, np.zeros(2), x0=np.array([np.nan, 1.0]))
