@@ -8,6 +8,26 @@ coupled stepper, energy and decay diagnostics, a manufactured-solution
 convergence harness, and a config-driven CLI.
 """
 
+import importlib.util
+import sys
+
+import numpy
+
+
+def _defer_unused_numpy_submodules():
+    # scipy.sparse's `from numpy import *` executes each lazily loaded submodule in numpy.__all__;
+    # no run uses these four, so each waits for its first attribute access (scipy uses np.random)
+    for name in ("f2py", "testing", "ma", "polynomial"):
+        full = f"numpy.{name}"
+        if full not in sys.modules and (spec := importlib.util.find_spec(full)) is not None:
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[full] = module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            setattr(numpy, name, module)  # else numpy.__getattr__ re-imports it forever
+
+
+_defer_unused_numpy_submodules()
+
 from .assembly import (
     AssemblyError,
     EmptySystemError,

@@ -10,6 +10,8 @@ them from the increments of each level's energy terms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from coupledwave import mesh as msh
@@ -188,6 +190,53 @@ def modal_rate(lam, params, fields=None):
         excited = weights > 1e-10 * weights.max(axis=-1, keepdims=True)
         rho = np.where(excited, np.abs(values), 0.0).max(axis=-1)
     return -2.0 * np.log(rho) / k
+
+
+def mms_error_1d(n: int, k: float, params, case) -> float:
+    """The composite MMS error of ``mms.measure_error`` on the uniform interval
+    of n cells with time step k, from the scheme's exact modal recurrence.
+
+    There the interpolated mode phi_j = sin(pi j h) is an eigenvector of M, K
+    and the load matrix: M phi = mu phi and K phi = kappa phi, with
+    mu = h (4 + 2 cos pi h) / 6 and kappa = (2 - 2 cos pi h) / h.  So the
+    levels stay (a_n phi, b_n phi), one 2 x 2 solve per step gives (a_n, b_n),
+    and the errors e_u = a_u e^{-t_n} - a_n, e_v = a_v e^{-t_n} - b_n of the
+    ``case`` (a ``ManufacturedCase``) enter the composite
+    |phi|^2 [mu (de_u^2 + de_v^2) + kappa (e_u^2 + e_v^2) + mu (e_u - e_v)^2],
+    de the backward differences over k and |phi|^2 = n / 2.  The result is
+    the square root of its largest value over levels 1 .. T/k.
+    """
+    h = 1.0 / n
+    mu = h * (4.0 + 2.0 * math.cos(math.pi * h)) / 6.0
+    kappa = (2.0 - 2.0 * math.cos(math.pi * h)) / h
+    eps_u, eps_v, alpha = params.eps_u, params.eps_v, params.alpha
+    diag = 1.0 / k**2 + params.c**2 * kappa / mu + alpha
+    a11, a22 = diag + eps_u / k, diag + eps_v / k
+    det = a11 * a22 - alpha * alpha
+    # levels 0 and 1: the interpolant and the Taylor step with u_t = -u
+    a_old, b_old = case.a_u, case.a_v
+    a_cur, b_cur = case.a_u * (1.0 - k), case.a_v * (1.0 - k)
+
+    def errors(step, a, b):
+        decay = math.exp(-step * k)
+        return case.a_u * decay - a, case.a_v * decay - b
+
+    def composite(step):
+        e_u, e_v = errors(step, a_cur, b_cur)
+        old_u, old_v = errors(step - 1, a_old, b_old)
+        du, dv = (e_u - old_u) / k, (e_v - old_v) / k
+        return 0.5 * n * (mu * (du * du + dv * dv) + kappa * (e_u * e_u + e_v * e_v)
+                          + mu * (e_u - e_v) ** 2)
+
+    worst = composite(1)
+    for step in range(2, round(params.T / k) + 1):
+        decay = math.exp(-step * k)
+        r_u = (2.0 * a_cur - a_old) / k**2 + eps_u / k * a_cur + case.s_u * decay
+        r_v = (2.0 * b_cur - b_old) / k**2 + eps_v / k * b_cur + case.s_v * decay
+        a_old, b_old = a_cur, b_cur
+        a_cur, b_cur = (a22 * r_u + alpha * r_v) / det, (alpha * r_u + a11 * r_v) / det
+        worst = max(worst, composite(step))
+    return math.sqrt(worst)
 
 
 def per_level_records(states, mass, stiffness, params, lyapunov_params=None) -> list:

@@ -271,3 +271,23 @@ def test_criterion_9_modal_decay_rate(square8, long_decay_run, report):
            f"{slow:.4f} < gamma={gamma:.6f} < {fast:.4f}; "
            f"worst-mode spread {max(worst.values()):.1e}")
     assert ok, checks
+
+
+def test_criterion_10_first_order_in_the_asymptotic_range(report):
+    # criterion 4's 2D ladder is pre-asymptotic; on the uniform interval the
+    # exact modal recurrence of oracles.mms_error_1d gives the error of every
+    # level, so the measured ladder is checked against it where it runs and
+    # the oracle alone reaches the levels where first order shows
+    p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.1, T=1.0)
+    case = mms.build_case("separable-decay-1d", p)
+    rep = mms.convergence_study(
+        "separable-decay-1d", msh.generate_unit_interval(4), 0.1, 6, p, SOLVER
+    )
+    exact = [oracles.mms_error_1d(4 * 2**j, 0.1 / 2**j, p, case) for j in range(11)]
+    deviation = max(abs(r.error - e) / e for r, e in zip(rep.levels, exact))
+    orders = [math.log2(a / b) for a, b in zip(exact[8:], exact[9:])]
+    ok = deviation <= 1e-6 and all(abs(o - 1.0) <= 0.01 for o in orders)
+    report(10, "first order, 1D oracle", ok,
+           f"levels 0-5 within {deviation:.1e} of the oracle; oracle orders at levels 9-10 "
+           + ", ".join(f"{o:.4f}" for o in orders))
+    assert ok, (deviation, orders)

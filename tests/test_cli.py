@@ -550,18 +550,68 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "o" / "energy.csv").exists()
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # only the Cholesky route needs scipy.linalg; the CG path never loads it.
-    # scipy.sparse.linalg (about 9 MB resident) stays unloaded too: the dense
-    # start's inverses come from numpy alone
+def run_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this checkout."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    code = ("import sys, coupledwave.cli; "
-            "print(any(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')))")
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only the Cholesky route needs scipy.linalg; the CG path never loads it.
+    # scipy.sparse.linalg (about 9 MB resident) stays unloaded too: the dense
+    # start's inverses come from numpy alone
+    code = ("import sys, coupledwave.cli; "
+            "print(any(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')))")
+    assert run_python(code) == "False"
+
+
+# a module of each numpy submodule that coupledwave defers; scipy.sparse's
+# `from numpy import *` would otherwise execute all four (about 150 ms)
+DEFERRED_NUMPY = ("numpy.testing._private.utils", "numpy.f2py.crackfortran",
+                  "numpy.ma.core", "numpy.polynomial.polynomial")
+
+
+def test_cli_import_leaves_unused_numpy_submodules_unexecuted():
+    code = f"import sys, coupledwave.cli; print([m for m in {DEFERRED_NUMPY} if m in sys.modules])"
+    assert run_python(code) == "[]"
+
+
+def test_deferred_numpy_submodules_load_on_first_use():
+    code = (
+        "import os, sys, numpy.testing\n"
+        "eager = sys.modules['numpy.testing']\n"
+        "import coupledwave\n"
+        "import numpy as np\n"
+        # imported before coupledwave, so the guard left it as it was
+        "assert sys.modules['numpy.testing'] is eager and np.testing is eager\n"
+        f"assert not any(m in sys.modules for m in {DEFERRED_NUMPY[1:]})\n"
+        "np.testing.assert_allclose(np.ones(2), [1.0, 1.0])\n"
+        "assert np.ma.masked_invalid([1.0, np.nan]).mask.tolist() == [False, True]\n"
+        "assert np.polynomial.Polynomial([1.0, 2.0])(3.0) == 7.0\n"
+        "import numpy.f2py\n"
+        "assert os.path.isdir(numpy.f2py.get_include())\n"
+        f"print(all(m in sys.modules for m in {DEFERRED_NUMPY}))\n"
+    )
+    assert run_python(code) == "True"
+
+
+def test_run_leaves_unused_numpy_submodules_unexecuted(tmp_path):
+    # a saving at import is no saving if the run itself executes these modules
+    cfg = write_config(
+        tmp_path,
+        "mode = decay-study\nn_per_side = 4\nk = 0.05\nT = 1.0\ninitial = sine\n"
+        "lyapunov_n_weight = 2\nlyapunov_beta = 0.1\n",
+    )
+    code = ("import sys\n"
+            "from coupledwave.cli import run_cli\n"
+            "assert run_cli(['--config', sys.argv[1], '--out-dir', sys.argv[2], '--quiet']) == 0\n"
+            f"print([m for m in {DEFERRED_NUMPY} if m in sys.modules])\n")
+    assert run_python(code, cfg, str(tmp_path / "out")) == "[]"
+    assert (tmp_path / "out" / "energy.csv").exists()
