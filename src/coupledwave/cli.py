@@ -1,9 +1,9 @@
 """Command-line driver: config in, CSV/JSON out.
 
 Exit codes: 0 success, 1 configuration problem (bad arguments, unparsable or
-inconsistent config, bad mesh data), 2 solver failure, 3 I/O failure.  All
-diagnostics go to stderr; CSV numeric fields carry 17 significant digits so
-repeated runs are byte-identical.
+inconsistent config, bad mesh data, a job too large for memory), 2 solver
+failure, 3 I/O failure.  All diagnostics go to stderr; CSV numeric fields
+carry 17 significant digits so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def run_cli(argv) -> int:
     except OSError as exc:
         print(f"error: cannot read mesh file: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except (mesh.MeshError, ValueError) as exc:
+    except (mesh.MeshError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 
@@ -76,7 +76,7 @@ def run_cli(argv) -> int:
         if cfg.mode == "convergence":
             return _run_convergence(cfg, domain, args)
         return _run_simulation(cfg, domain, args)
-    except (assembly.AssemblyError, ConfigError, ValueError) as exc:
+    except (assembly.AssemblyError, ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except SolverFailure as exc:

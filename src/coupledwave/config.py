@@ -9,6 +9,7 @@ all raise ConfigError carrying the offending line number.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -153,6 +154,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("decay-study mode requires lyapunov_n_weight and lyapunov_beta")
     if cfg.mode == "convergence" and cfg.levels < 3:
         raise ValueError(f"levels = {cfg.levels} is too few; convergence mode needs at least 3")
+    outputs = {os.path.normpath(cfg.out_summary), os.path.normpath(cfg.out_energy)}
+    if cfg.mode != "convergence" and len(outputs) == 1:
+        raise ValueError(f"out_summary = {cfg.out_summary} names the same file as out_energy")
 
     # building the owners checks their values; the cached objects serve the run
     cfg.scheme_params, cfg.solver_config, cfg.lyapunov_params

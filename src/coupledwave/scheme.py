@@ -31,19 +31,18 @@ memory the inverses add small next to the process's, and they come from
 numpy alone: a sparse factorization would load scipy.sparse.linalg, whose
 import alone adds about 9 MB resident.  A block that does not invert in
 floating point (entries near the ends of the float range) is a ValueError.
-Larger systems start from the Galerkin projection of the new solution onto
-the span of the last two, X = [x_n, x_{n-1}] with their stored products
-A X (CG's b - r, so no product is taken): x0 = X G^{-1} X^T b with
-G = X^T A X (P. F. Fischer, CMAME 163, 1998).  The extrapolation
-2 x_n - x_{n-1} lies in that span, so the projection's A-norm error is no
-larger.  Where G is nearly singular, as for the nearly parallel solutions of
-a single decaying mode, the start is the exact line search from x_n along
-the extrapolated step d = 2 x_n - 3 x_{n-1} + x_{n-2} (x_n - x_{n-1} over two
-solves): x0 = x_n + t d with b - A x0 orthogonal to d.  The extrapolation
-remains the fallback when fewer than two solves are stored, d . A d is not
-positive, or the start is not finite.  ``method = cholesky`` solves the
-coupled matrix itself, with neither start, which keeps the check path
-independent of the rotation.  N and the method alone fix a run's start.
+Larger systems start from the Galerkin projection onto span{x_n, d}, d the
+extrapolated step 2 x_n - 3 x_{n-1} + x_{n-2} (x_n - x_{n-1} over two
+solves): x0 = X G^{-1} X^T b, X = [x_n, d], G = X^T A X (P. F. Fischer,
+CMAME 163, 1998), with A X from the stored products (CG's b - r).  That span
+holds x_n + d and every x_n + t d, so x0's A-norm error is at most theirs.
+Where G is nearly singular, as for one geometrically decaying mode, the start
+is the exact line search x_n + t d, with b - A x0 orthogonal to d.  The
+extrapolation 2 x_n - x_{n-1} remains the fallback when fewer than two solves
+are stored, d . A d is not positive, or the start is not finite.
+``method = cholesky`` solves the coupled matrix itself, with neither start,
+which keeps the check path independent of the rotation.  N and the method
+alone fix a run's start.
 """
 
 from __future__ import annotations
@@ -61,13 +60,13 @@ from .mesh import Mesh
 from .sparse_linalg import (SolverConfig, SolverFailure, dot, jacobi_inverse, solve_spd,
                             with_context)
 
-# the projection gives way to the line search when det G <= GRAM_TOL g11 g22.
-# det G = g11 g22 sin^2 of the A-angle between the last two solutions.  G is
-# exact to rounding (A X comes from CG's residuals), but on nearly parallel
-# solutions, as on the finest mms-ladder level, projecting at 1e-12 and 1e-14
-# took 2216 and 2416 CG iterations there against 1103 at 1e-10, kept by
-# measurement
-GRAM_TOL = 1e-10
+# the projection gives way to the line search when det G <= GRAM_TOL g11 g22,
+# sin^2 of the A-angle between x_n and d.  Of a sweep of 1e-10 ... 1e-5 over
+# twelve projected-route cases, only 4e-7 ... 1e-6 left none above the previous
+# start's CG iterations: below, the 1D single-mode ladder's levels 3/4 took up
+# to 1419/2834 (1068/2129 here); above, the finest mms-ladder level is back at
+# 1103 by 1.4e-6 (1072 here)
+GRAM_TOL = 5e-7
 
 # CG starts from the exact dense solve when both N x N block inverses take at
 # most 1 MiB (2 N^2 doubles), that is N <= 256.  At N = 225 the build takes
@@ -178,10 +177,10 @@ class BlockOperator:
     never touches it.  The operator also owns what CG reuses from solve to
     solve: the Jacobi preconditioner ``inv_diag`` (method cg) and either the
     dense block inverses ``inverse`` (N <= DENSE_START_MAX_N, method cg) or
-    the last three rotated solutions x with their products A x.  That history
-    belongs to one chain of ``step`` calls, so every run builds its own
-    operator.  A block or a diagonal that does not invert in floating point
-    raises ValueError.
+    the last three rotated solutions x and A x, which ``projected_guess``
+    starts from.  That history belongs to one chain of ``step`` calls, so
+    every run builds its own operator.  A block or a diagonal that does not
+    invert in floating point raises ValueError.
     """
 
     def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams,
@@ -209,7 +208,7 @@ class BlockOperator:
                 raise ValueError(f"k = {k!r} is out of range: the step matrix's diagonal "
                                  f"(M/k^2 + c^2 K, c = {params.c!r}) is too small to invert "
                                  f"in floating point") from None
-        self._history = []  # up to three (x, A x, x . A x), newest first, rotated coordinates
+        self._history = []  # up to three (x, A x), newest first, rotated coordinates
         self._tip = None  # the state whose level x is the newest solution
 
     @cached_property
@@ -230,48 +229,39 @@ class BlockOperator:
     # an overflowing Gram product fails the tests below instead of warning
     @np.errstate(over="ignore", invalid="ignore")
     def projected_guess(self, state: State, b: np.ndarray) -> np.ndarray | None:
-        """x0 = X G^{-1} X^T b over the last two solutions, else ``_line_search``; or None.
-
-        Applies only to the state this operator's last ``record`` produced.  G
-        is solved in closed form where it is positive definite and well
-        conditioned.  A start that is not finite is None.
-        """
-        if len(self._history) < 2 or state is not self._tip:
-            return None
-        (x1, a1, g11), (x2, a2, g22) = self._history[:2]
-        g12 = dot(x1, a2)
-        det = g11 * g22 - g12 * g12
-        # false for NaN and infinite entries as well
-        if g11 > 0.0 and det > GRAM_TOL * g11 * g22:
-            c1, c2 = dot(x1, b), dot(x2, b)
-            guess = ((g22 * c1 - g12 * c2) / det) * x1 + ((g11 * c2 - g12 * c1) / det) * x2
-        else:
-            guess = self._line_search(b)
-        return guess if guess is not None and np.isfinite(guess).all() else None
-
-    def _line_search(self, b: np.ndarray) -> np.ndarray | None:
-        """x_n + t d with t = d.(b - A x_n) / d.A d, so that b - A x0 is orthogonal to d.
+        """x0 = X G^{-1} X^T b over X = [x_n, d], else the line search along d; or None.
 
         d is the extrapolated step, 2 x_n - 3 x_{n-1} + x_{n-2} over three
         recorded solves, else x_n - x_{n-1}, and A d comes from the recorded
-        products: x0 has the least A-norm error on that line.  None unless
-        d.A d is positive and finite.
+        products.  G is solved in closed form where it is positive definite
+        and well conditioned; elsewhere x0 = x_n + t d with
+        t = d.(b - A x_n) / d.A d, so that b - A x0 is orthogonal to d, unless
+        d.A d is not positive.  Applies only to the state this operator's last
+        ``record`` produced.  A start that is not finite is None.
         """
-        (x1, a1, _), (x2, a2, _) = self._history[:2]
+        if len(self._history) < 2 or state is not self._tip:
+            return None
+        (x1, a1), (x2, a2) = self._history[:2]
         if len(self._history) == 3:
-            x3, a3, _ = self._history[2]
+            x3, a3 = self._history[2]
             d, ad = 2.0 * x1 - 3.0 * x2 + x3, 2.0 * a1 - 3.0 * a2 + a3
         else:
             d, ad = x1 - x2, a1 - a2
-        curvature = dot(d, ad)
-        if not 0.0 < curvature < math.inf:
+        g11, g12, g22 = dot(x1, a1), dot(x1, ad), dot(d, ad)
+        det = g11 * g22 - g12 * g12
+        # false for NaN and infinite entries as well
+        if g11 > 0.0 and det > GRAM_TOL * g11 * g22:
+            c1, c2 = dot(x1, b), dot(d, b)
+            guess = ((g22 * c1 - g12 * c2) / det) * x1 + ((g11 * c2 - g12 * c1) / det) * d
+        elif 0.0 < g22 < math.inf:
+            guess = x1 + (dot(d, b - a1) / g22) * d
+        else:
             return None
-        return x1 + (dot(d, b - a1) / curvature) * d
+        return guess if np.isfinite(guess).all() else None
 
-    @np.errstate(over="ignore", invalid="ignore")
     def record(self, x: np.ndarray, ax: np.ndarray, state: State) -> None:
         """Store the solve x of the rotated system, and A x, that produced ``state``."""
-        self._history = [(x, ax, dot(x, ax))] + self._history[:2]
+        self._history = [(x, ax)] + self._history[:2]
         self._tip = state
 
 
@@ -293,8 +283,8 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
     """Advance one time level with the run's operator ``op``.
 
     CG solves the decoupled system, started from ``op.dense_guess`` on a
-    small system, else from ``op.projected_guess`` (the projection or the
-    line search), and failing that, from the extrapolation 2 x_n - x_{n-1};
+    small system, else from ``op.projected_guess`` (over x_n and the
+    extrapolated step), and failing that, from the extrapolation 2 x_n - x_{n-1};
     CG's final residual r gives the recorded A x = b - r.
     ``method = cholesky`` solves the coupled matrix.  f_u, f_v are already-assembled
     load vectors for the target level (or None for the homogeneous problem).

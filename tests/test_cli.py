@@ -535,6 +535,40 @@ def test_exit_code_empty_system(tmp_path, capsys):
     assert "interior" in capsys.readouterr().err
 
 
+def test_exit_code_job_too_large_for_memory(tmp_path, capsys):
+    # the square's vertex grid asks for 728 TiB, more than a 47-bit address
+    # space holds, so the request fails at once; only the 80 MB grid side is
+    # allocated
+    cfg = write_config(tmp_path, "mode = simulate\nn_per_side = 10000000\n")
+    out = tmp_path / "o"
+    assert run_cli(["--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("mode = simulate\nout_summary = energy.csv\n", 2),
+        ("mode = simulate\nout_energy = summary.json\n", 2),
+        ("mode = decay-study\ninitial = sine\nlyapunov_n_weight = 2\nlyapunov_beta = 0.1\n"
+         "out_energy = ./run.csv\nout_summary = run.csv\n", 6),
+    ],
+    ids=["summary-over-energy", "energy-over-summary", "decay-study-normalized"],
+)
+def test_exit_code_outputs_that_name_one_file(tmp_path, capsys, text, line):
+    # the summary would overwrite the energy CSV
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_cli(["--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"line {line}: out_summary = " in err and "the same file as out_energy" in err
+    assert not out.exists()
+    # convergence mode writes neither file
+    assert parse_config("mode = convergence\nout_summary = energy.csv\n").mode == "convergence"
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, "mode = simulate\nn_per_side = 3\nk = 0.1\nT = 0.3\n")
     # the child process imports the package from this checkout, installed or not

@@ -314,7 +314,7 @@ def test_rest_state_never_builds_a_nan_guess(monkeypatch, projected_start):
     assert len(calls) == 4
     assert all(np.isfinite(x0).all() for _, x0, _ in calls)
     # every recorded A x is the zero right-hand side's r = 0
-    assert len(op._history) == 3 and not any(ax.any() for _, ax, _ in op._history)
+    assert len(op._history) == 3 and not any(ax.any() for _, ax in op._history)
     # G is zero here, so the projection declines, and d . A d = 0 stops the line search
     assert op.projected_guess(state, np.ones(op.decoupled.shape[0])) is None
 
@@ -347,19 +347,29 @@ def test_projection_falls_back_on_overflow(overflow):
         assert op.projected_guess(state, b) is None
 
 
-def nearly_parallel_history(op, state, count):
-    """Record ``count`` exact solves (x, A x) whose A-angles are about 1e-7 apart."""
-    x, y, z = np.random.default_rng(2).standard_normal((3, op.decoupled.shape[0]))
+def decaying_history(op, state, count):
+    """Record ``count`` exact solves (x, A x), 0.9^j x + 1e-6 j^2 z for j = 0, 1, ...
+
+    One decaying direction, with an offset small enough that d stays within
+    an A-angle of about 1e-4 of x_n, so the projection declines.
+    """
+    x, z = np.random.default_rng(2).standard_normal((2, op.decoupled.shape[0]))
     for j in range(count):
-        v = x + 1e-7 * j * y + 1e-9 * j * j * z
+        v = 0.9**j * x + 1e-6 * j * j * z
         op.record(v, op.decoupled @ v, state)
-    return [v for v, _, _ in op._history]
+    return [v for v, _ in op._history]
 
 
 def next_right_hand_side(op, xs):
-    """A x for an x that continues the recorded chain, off its lines by 1e-9."""
+    """A x for an x that continues the recorded decay, off its line by 1e-9."""
     w = np.random.default_rng(3).standard_normal(op.decoupled.shape[0])
-    return op.decoupled @ (2.0 * xs[0] - xs[1] + 1e-9 * w)
+    return op.decoupled @ (0.9 * xs[0] + 1e-9 * w)
+
+
+def gram_declines(A, x, d):
+    """Whether det G <= GRAM_TOL g11 g22 for G = [x, d]^T A [x, d], from explicit products."""
+    g11, g12, g22 = x @ (A @ x), x @ (A @ d), d @ (A @ d)
+    return g11 * g22 - g12 * g12 <= scheme.GRAM_TOL * g11 * g22
 
 
 def line_search_step(op, xs, d, b):
@@ -368,29 +378,27 @@ def line_search_step(op, xs, d, b):
 
 
 def assert_line_search(op, xs, d, b, x0):
-    # A d from the recorded products carries their rounding, eps ||A x||, which
-    # is large next to A d itself (5e-10 of the step here)
+    # A d from the recorded products carries their rounding, eps ||A x||
+    # (about 1e-14 of the step here)
     step = line_search_step(op, xs, d, b)
-    np.testing.assert_allclose(x0 - xs[0], step, rtol=0, atol=1e-7 * np.abs(step).max())
-    # the start's residual is orthogonal to d at the rounding level (2e-17, 4e-17)
+    np.testing.assert_allclose(x0 - xs[0], step, rtol=0, atol=1e-10 * np.abs(step).max())
+    # the start's residual is orthogonal to d at the rounding level
     assert abs(d @ (b - op.decoupled @ x0)) <= 1e-14 * np.linalg.norm(d) * np.linalg.norm(b)
 
 
 def test_projection_declines_nearly_parallel_solutions():
-    # sin^2 of their angle is about 1e-14: det G is positive but below
-    # GRAM_TOL g11 g22, so the projection declines and the line search along
-    # x_n - x_{n-1} answers (two solves are recorded)
+    # over two solves d = x_n - x_{n-1}, within an A-angle of about 1e-5 of
+    # x_n: det G is positive but below GRAM_TOL g11 g22, so the projection
+    # declines and the line search along d answers
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=0.6)
     op = scheme.BlockOperator(*matrices(m), p)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
-    xs = nearly_parallel_history(op, state, 2)
-    (_, _, g11), (_, a2, g22) = op._history
-    g12 = xs[0] @ a2
-    assert g11 * g22 - g12 * g12 <= scheme.GRAM_TOL * g11 * g22
+    xs = decaying_history(op, state, 2)
+    d = xs[0] - xs[1]
+    assert gram_declines(op.decoupled, xs[0], d)
     b = next_right_hand_side(op, xs)
-    x0 = op.projected_guess(state, b)
-    assert_line_search(op, xs, xs[0] - xs[1], b, x0)
+    assert_line_search(op, xs, d, b, op.projected_guess(state, b))
 
 
 def test_line_search_takes_the_second_order_step_over_three_solves():
@@ -398,14 +406,71 @@ def test_line_search_takes_the_second_order_step_over_three_solves():
     p = params_for(k=0.1, T=0.6)
     op = scheme.BlockOperator(*matrices(m), p)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
-    xs = nearly_parallel_history(op, state, 4)  # the oldest of four drops out
+    xs = decaying_history(op, state, 4)  # the oldest of four drops out
     assert len(xs) == 3
+    d = 2.0 * xs[0] - 3.0 * xs[1] + xs[2]
+    assert gram_declines(op.decoupled, xs[0], d)
     b = next_right_hand_side(op, xs)
     x0 = op.projected_guess(state, b)
-    assert_line_search(op, xs, 2.0 * xs[0] - 3.0 * xs[1] + xs[2], b, x0)
+    assert_line_search(op, xs, d, b, x0)
     # which is not the line along x_n - x_{n-1}
     first = line_search_step(op, xs, xs[0] - xs[1], b)
-    assert np.abs(x0 - xs[0] - first).max() > 1e-3 * np.abs(first).max()
+    assert np.abs(x0 - xs[0] - first).max() > 1e-6 * np.abs(first).max()
+
+
+def test_projection_over_two_solves_spans_the_last_two_solutions():
+    # span{x_n, x_n - x_{n-1}} = span{x_n, x_{n-1}}: the start is the Galerkin
+    # solution over the last two solutions, taken here by a dense 2 x 2 solve
+    m = msh.generate_unit_square(4)
+    p = params_for(k=0.1, T=0.6)
+    op = scheme.BlockOperator(*matrices(m), p)
+    A = op.decoupled
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    rng = np.random.default_rng(4)
+    older = rng.standard_normal(A.shape[0])
+    newer = older + 0.1 * rng.standard_normal(A.shape[0])
+    for x in (older, newer):
+        op.record(x, A @ x, state)
+    b = A @ rng.standard_normal(A.shape[0])
+    X = np.column_stack([newer, older])
+    expected = X @ np.linalg.solve(X.T @ (A @ X), X.T @ b)
+    x0 = op.projected_guess(state, b)
+    np.testing.assert_allclose(x0, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+def test_projection_is_no_worse_than_line_search_or_quadratic_extrapolation(
+        monkeypatch, projected_start):
+    # over three solves span{x_n, d} holds the line x_n + t d, and x_n + d
+    # with it, so the start's A-norm error is at most either one's
+    m = oracles.jittered_square(10, seed=3)
+    p = params_for(k=0.02, T=0.4, eps_u=0.5, eps_v=0.25)
+    op = scheme.BlockOperator(*matrices(m), p, SolverConfig(rel_tol=1e-14))
+    A = op.decoupled
+    starts = []
+    projected_guess = scheme.BlockOperator.projected_guess
+
+    def spy(self, state, b):
+        x0 = projected_guess(self, state, b)
+        if len(self._history) == 3:
+            starts.append(([x for x, _ in self._history], b, x0))
+        return x0
+
+    monkeypatch.setattr(scheme.BlockOperator, "projected_guess", spy)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
+    for _ in range(10):
+        state = scheme.step(state, op)
+    assert len(starts) == 7
+    for (x1, x2, x3), b, x0 in starts:
+        exact = solve_spd(A, b, SolverConfig(method="cholesky"))
+
+        def a_error(x):
+            e = x - exact
+            return float(e @ (A @ e))
+
+        d = 2.0 * x1 - 3.0 * x2 + x3
+        line = x1 + (d @ (b - A @ x1)) / (d @ (A @ d)) * d
+        assert a_error(x0) <= a_error(line)
+        assert a_error(x0) <= a_error(x1 + d)
 
 
 def test_recorded_product_is_the_operator_applied_to_the_solution(monkeypatch, projected_start):
@@ -419,7 +484,7 @@ def test_recorded_product_is_the_operator_applied_to_the_solution(monkeypatch, p
     for _ in range(3):
         state = scheme.step(state, op)
     assert len(op._history) == 3
-    for (b, _, _), (x, ax, _) in zip(reversed(calls), op._history):
+    for (b, _, _), (x, ax) in zip(reversed(calls), op._history):
         assert np.linalg.norm(ax - op.decoupled @ x) <= 1e-14 * np.linalg.norm(b)
 
 
@@ -577,23 +642,27 @@ def test_line_search_keeps_a_single_mode_run_inside_criterion_one():
 
 
 def test_line_search_start_beats_extrapolation_where_the_projection_declines(monkeypatch):
-    # the manufactured solution is one mode times e^{-t}, so successive
-    # solutions are nearly parallel and most solves decline the projection
+    # the 1D manufactured solution is one discrete mode of the uniform interval
+    # times e^{-t}, so d is nearly parallel to x_n and most solves decline the
+    # projection
     declined = []
-    line_search = scheme.BlockOperator._line_search
+    projected_guess = scheme.BlockOperator.projected_guess
 
-    def spy(op, b):
-        x0 = line_search(op, b)
-        (x1, _, _), (x2, _, _) = op._history[:2]
-        declined.append((op.decoupled, b, x0, 2.0 * x1 - x2))
+    def spy(op, state, b):
+        x0 = projected_guess(op, state, b)
+        if len(op._history) == 3:
+            (x1, _), (x2, _), (x3, _) = op._history
+            d = 2.0 * x1 - 3.0 * x2 + x3
+            if gram_declines(op.decoupled, x1, d):
+                declined.append((op.decoupled, b, x0, d, 2.0 * x1 - x2))
         return x0
 
-    monkeypatch.setattr(scheme.BlockOperator, "_line_search", spy)
+    monkeypatch.setattr(scheme.BlockOperator, "projected_guess", spy)
     p = params_for(k=0.005, T=0.1, eps_u=0.5, eps_v=0.25)
-    mms.measure_error(mms.build_case("separable-decay", p), msh.generate_unit_square(32), p)
+    mms.measure_error(mms.build_case("separable-decay-1d", p), msh.generate_unit_interval(512), p)
     assert len(declined) >= 10
     solve = spla.splu(declined[0][0].tocsc()).solve
-    for A, b, x0, extrapolated in declined:
+    for A, b, x0, d, extrapolated in declined:
         exact = solve(b)
 
         def a_error(x):
@@ -601,3 +670,23 @@ def test_line_search_start_beats_extrapolation_where_the_projection_declines(mon
             return float(e @ (A @ e))
 
         assert a_error(x0) <= a_error(extrapolated)
+        # the start is the line search: its residual is orthogonal to d
+        assert abs(d @ (b - A @ x0)) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("route", ["projection", "line-search"])
+def test_projected_start_keeps_cg_iterations_down(monkeypatch, route):
+    # total CG iterations with the start onto span{x_n, d}; the earlier start
+    # (a projection over x_n, x_{n-1} with a separate line search) took 677
+    # and 1067
+    iterations = counting_iterations(monkeypatch)
+    if route == "projection":
+        p, bound = params_for(k=0.01, T=1.0, eps_u=0.5, eps_v=0.25), 617
+        m = msh.generate_unit_square(24)
+        scheme.run(m, *matrices(m), p, scheme.initial_preset("sine-opposed"))
+    else:
+        p, bound = params_for(k=0.005, T=1.0, eps_u=0.5, eps_v=0.25), 1067
+        mms.measure_error(mms.build_case("separable-decay-1d", p),
+                          msh.generate_unit_interval(512), p)
+    assert len(iterations) == p.M_steps - 1
+    assert sum(iterations) <= bound
