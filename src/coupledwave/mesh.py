@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -241,7 +241,8 @@ def validate(mesh: Mesh) -> None:
     """Check structural invariants, raising MeshError on the first violation.
 
     Checks: index ranges, positive orientation, conformity (an edge is shared
-    by at most two triangles, duplicate cells are rejected), boundary flags
+    by at most two triangles, duplicate cells are rejected, every vertex
+    belongs to a cell), boundary flags
     consistent with the combinatorial boundary, shape regularity below
     SHAPE_REGULARITY_LIMIT, and that cell measures add up to the measure
     enclosed by the combinatorial boundary (catches overlaps and holes).
@@ -303,6 +304,11 @@ def _validate_1d(mesh: Mesh, measures: np.ndarray) -> None:
 
 
 def _validate_2d(mesh: Mesh, measures: np.ndarray) -> None:
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used[mesh.cells] = True
+    if not used.all():
+        raise MeshError(f"vertex {int(np.argmin(used))} belongs to no cell")
+
     ordered = np.sort(mesh.cells, axis=1)
     _, first = np.unique(ordered, axis=0, return_index=True)
     if first.size < mesh.n_cells:
@@ -347,46 +353,112 @@ def write_mesh(mesh: Mesh, path) -> None:
 def read_mesh(path) -> Mesh:
     """Read the plain-text mesh format and validate the result.
 
-    The header, the token counts, the numbers and the vertex indices are
-    checked before any geometry is computed.  Cells with negative orientation
-    are flipped rather than rejected.
+    Fields are separated by any run of spaces and tabs; CRLF line ends and
+    blank lines are accepted.  numpy parses each block in one pass, so a good
+    file builds no Python object per token.  A file that does not fit its
+    header is read again to name its first fault (see ``_diagnose``).  The
+    vertex indices are checked before any geometry is computed.  Cells with
+    negative orientation are flipped rather than rejected.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [tokens for tokens in map(str.split, fh) if tokens]
-    if not lines:
-        raise MeshError(f"{path}: empty mesh file")
     try:
-        dim, nv, nc = map(int, lines[0])
-    except ValueError:
-        raise MeshError(f"{path}: header must be 'dim n_vertices n_cells', "
-                        f"got {' '.join(lines[0])!r}") from None
-    if dim not in (1, 2) or nv < 1 or nc < 1:
-        raise MeshError(f"{path}: header needs dimension 1 or 2 and positive counts, "
-                        f"got {dim} {nv} {nc}")
-    if len(lines) != 1 + nv + nc:
-        raise MeshError(f"{path}: expected {1 + nv + nc} lines, found {len(lines)}")
-    for kind, block, need in (("vertex", lines[1 : 1 + nv], f"{dim} coordinates and a flag"),
-                              ("cell", lines[1 + nv :], f"{dim + 1} vertex indices")):
-        bad = np.flatnonzero(np.fromiter(map(len, block), int, len(block)) != dim + 1)
-        if bad.size:
-            raise MeshError(f"{path}: {kind} line {bad[0]} needs {need}")
-
-    coords = list(chain.from_iterable(lines[1 : 1 + nv]))
-    flags = _numbers(path, coords[dim :: dim + 1], int, "boundary flag") != 0
-    del coords[dim :: dim + 1]
-    vertices = _numbers(path, coords, float, "vertex coordinate").reshape(nv, dim)
-    cells = _numbers(path, chain.from_iterable(lines[1 + nv :]), int, "vertex index")
-    cells = cells.reshape(nc, dim + 1)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = (line for line in fh if not line.isspace())
+            dim, nv, nc = _header(path, next(lines, None))
+            parsed = _parse(lines, dim, nv, nc)
+        if parsed is None:
+            _diagnose(path, dim, nv, nc)
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
+                        f"{exc.reason})") from None
+    vertices, flags, cells = parsed
     _check_indices(cells, nv)
     flip = signed_measures(vertices[cells]) < 0
     cells[flip, -2:] = cells[flip][:, [-1, -2]]
-    mesh = _make_mesh(dim, vertices, cells, flags)
+    mesh = _make_mesh(dim, vertices, cells, flags == 1)
     validate(mesh)
     return mesh
 
 
-def _numbers(path, tokens, kind, what: str) -> np.ndarray:
+def _header(path, line) -> tuple:
+    if line is None:
+        raise MeshError(f"{path}: empty mesh file")
+    tokens = line.split()
     try:
-        return np.fromiter(map(kind, tokens), dtype=kind)
-    except (ValueError, OverflowError) as exc:
-        raise MeshError(f"{path}: bad {what}: {exc}") from None
+        dim, nv, nc = map(int, tokens)
+    except ValueError:
+        raise MeshError(f"{path}: header must be 'dim n_vertices n_cells', "
+                        f"got {' '.join(tokens)!r}") from None
+    if dim not in (1, 2) or nv < 1 or nc < 1:
+        raise MeshError(f"{path}: header needs dimension 1 or 2 and positive counts, "
+                        f"got {dim} {nv} {nc}")
+    return dim, nv, nc
+
+
+def _parse(lines, dim: int, nv: int, nc: int):
+    """Coordinates, flags and cells from the lines after the header.
+
+    Returns None where a block does not parse, a count disagrees with the
+    header or a flag is not 0 or 1.
+    """
+    vertex = np.dtype([("coords", np.float64, (dim,)), ("flag", np.int64)])
+    cell = np.dtype([("ids", np.int64, (dim + 1,))])
+    try:
+        table = _rows(lines, nv, vertex)
+        cells = None if table is None else _rows(lines, nc, cell)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:  # a bad token or token count, or a count beyond islice's range
+        return None
+    if cells is None or next(lines, None) is not None or not _is_flag(table["flag"]).all():
+        return None
+    return table["coords"], table["flag"], cells["ids"]
+
+
+def _rows(lines, n: int, dtype: np.dtype):
+    """numpy's parse of the next ``n`` lines, or None where fewer are left."""
+    block = islice(lines, n)
+    first = next(block, None)  # numpy warns on a block with no lines
+    if first is None:
+        return None
+    table = np.loadtxt(chain((first,), block), dtype=dtype, comments=None, ndmin=1)
+    return table if len(table) == n else None
+
+
+def _is_flag(values: np.ndarray) -> np.ndarray:
+    return (values == 0) | (values == 1)
+
+
+def _diagnose(path, dim: int, nv: int, nc: int):
+    """Raise the MeshError that names the first fault of a file ``_parse`` declined.
+
+    The file is read again and checked in this order: the line count, the
+    tokens on each line, then the numbers (boundary flags, coordinates,
+    vertex indices), each block by numpy and, where that fails, line by line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.isspace()][1:]
+    if len(lines) != nv + nc:
+        raise MeshError(f"{path}: expected {1 + nv + nc} lines, found {1 + len(lines)}")
+    blocks = {"vertex": lines[:nv], "cell": lines[nv:]}
+    for kind, need in (("vertex", f"{dim} coordinates and a flag"),
+                       ("cell", f"{dim + 1} vertex indices")):
+        for i, line in enumerate(blocks[kind]):
+            if len(line.split()) != dim + 1:
+                raise MeshError(f"{path}: {kind} line {i} needs {need}")
+    for what, kind, *spec in (("boundary flag", "vertex", np.int64, [dim], _is_flag),
+                              ("vertex coordinate", "vertex", np.float64, range(dim), None),
+                              ("vertex index", "cell", np.int64, None, None)):
+        block = blocks[kind]
+        if not _fits(block, *spec):
+            bad = next(i for i, line in enumerate(block) if not _fits([line], *spec))
+            raise MeshError(f"{path}: bad {what} on {kind} line {bad}: {block[bad].strip()!r}")
+    raise MeshError(f"{path}: the mesh file does not parse")
+
+
+def _fits(rows, dtype, columns, valid) -> bool:
+    """Whether numpy parses ``columns`` of ``rows`` as ``dtype`` into values ``valid`` accepts."""
+    try:
+        values = np.loadtxt(rows, dtype, comments=None, usecols=columns, ndmin=1)
+    except ValueError:
+        return False
+    return valid is None or bool(valid(values).all())

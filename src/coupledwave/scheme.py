@@ -191,14 +191,20 @@ class BlockOperator:
         # c^2 K can overflow on a fine mesh although c^2 itself is finite
         with np.errstate(over="ignore", invalid="ignore"):
             shared = (1.0 / (k * k) + alpha) * mass + params.c**2 * stiffness
-            self.decoupled = sp.block_diag([shared + lam_i * mass for lam_i in lam], format="csr")
+            upper, lower = (shared + lam_i * mass for lam_i in lam)
+        # blockdiag(upper, lower) from the blocks' own CSR arrays, with no COO copy
+        self.n_field = n = mass.shape[0]
+        self.decoupled = sp.csr_matrix(
+            (np.concatenate([upper.data, lower.data]),
+             np.concatenate([upper.indices, lower.indices + n]),
+             np.concatenate([upper.indptr, lower.indptr[1:] + upper.indptr[-1]])),
+            shape=(2 * n, 2 * n))
         if not np.isfinite(self.decoupled.data).all():
             raise ValueError(f"c = {params.c!r} is out of range: the step matrix "
                              f"(1/k^2 + alpha) M + c^2 K is not finite on this mesh")
         self.mass, self.params = mass, params
         self.config = config
         self._stiffness = stiffness
-        self.n_field = mass.shape[0]
         self.inverse = (_block_inverses(self.decoupled, self.n_field)
                         if _dense_start(self.n_field, self.config) else None)
         if config.method == "cg":

@@ -490,6 +490,15 @@ def test_exit_code_missing_mesh_file(tmp_path, capsys):
 VERTICES = "0 0 1\n1 0 1\n1 1 1\n"
 
 
+def square_with_unused_vertex(n: int) -> str:
+    """The n x n square's mesh file plus a last vertex, flagged 0, that no cell uses."""
+    m = msh.generate_unit_square(n)
+    vertices = "".join(f"{x!r} {y!r} {int(flag)}\n"
+                       for (x, y), flag in zip(m.vertices.tolist(), m.boundary_flags))
+    cells = "".join(" ".join(map(str, cell)) + "\n" for cell in m.cells.tolist())
+    return f"2 {m.n_vertices + 1} {m.n_cells}\n{vertices}0.52 0.47 0\n{cells}"
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -506,18 +515,29 @@ VERTICES = "0 0 1\n1 0 1\n1 1 1\n"
         ("2 3 1\n0 0 1\n1 1\n1 1 1\n0 1 2\n", "vertex line 1 needs 2 coordinates and a flag"),
         ("2 3 1\n0 zero 1\n1 0 1\n1 1 1\n0 1 2\n", "bad vertex coordinate"),
         ("2 3 1\n" + VERTICES + "0 1 x\n", "bad vertex index"),
+        ("2 5 2\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0.5 0.5 0\n0 1 2\n0 2 3\n",
+         "vertex 4 belongs to no cell"),
+        (square_with_unused_vertex(20), "vertex 441 belongs to no cell"),
+        ("2 3 1\n0 0 1\n1 0 2\n1 1 1\n0 1 2\n", "bad boundary flag on vertex line 1"),
+        ("2 3 1\n0 0 -1\n1 0 1\n1 1 1\n0 1 2\n", "bad boundary flag on vertex line 0"),
+        (b"2 3 1\n0 0 1\n1 0 1\n1 1 1\n0 1 2 \xff\n", "bad.mesh: not UTF-8 text (byte 0xff"),
     ],
     ids=["repeated-vertex", "cell-width", "index-too-large", "index-negative", "short-header",
          "dim-0", "dim-3", "negative-count", "no-cells", "fractional-flag", "vertex-width",
-         "bad-coordinate", "bad-index"],
+         "bad-coordinate", "bad-index", "unused-vertex", "unused-vertex-projected", "flag-2",
+         "flag-negative", "not-utf8"],
 )
 def test_exit_code_bad_mesh_file(tmp_path, capsys, text, fragment):
     bad = tmp_path / "bad.mesh"
-    bad.write_text(text)
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
     cfg = write_config(tmp_path, f"mode = simulate\ndomain = file:{bad}\n")
     assert run_cli(["--config", cfg]) == 1
     err = capsys.readouterr().err
     assert fragment in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_code_solver_failure(tmp_path, capsys, projected_start):

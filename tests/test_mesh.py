@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +209,9 @@ def test_validate_rejects_sliver():
         ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 3], [0, 3, 3]], "repeated vertex"),
         # two triangles on the same side of their shared edge 0-1
         ([[1, 1], [2, 1], [1.5, 2], [1.6, 1.8]], [[0, 1, 2], [0, 1, 3]], "overlap"),
+        # the unit square plus a centre vertex that no cell uses
+        ([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], [[0, 1, 2], [0, 2, 3]],
+         "vertex 4 belongs to no cell"),
     ],
 )
 def test_validate_rejects_bad_connectivity(vertices, cells, fragment):
@@ -261,3 +267,135 @@ def test_read_mesh_rejects_truncated_file(tmp_path):
     path.write_text("2 4 2\n0 0 1\n1 0 1\n")
     with pytest.raises(msh.MeshError, match="lines"):
         msh.read_mesh(path)
+
+
+def jittered_square(n: int, rng) -> msh.Mesh:
+    """The n x n unit square with each interior vertex moved by up to 0.15 h."""
+    m = msh.generate_unit_square(n)
+    vertices = m.vertices.copy()
+    vertices[~m.boundary_flags] += rng.uniform(-0.15 / n, 0.15 / n, size=(m.n_interior, 2))
+    return msh._make_mesh(2, vertices, m.cells, m.boundary_flags)
+
+
+def assert_same_mesh(got: msh.Mesh, want: msh.Mesh) -> None:
+    assert got.dim == want.dim and got.h == want.h
+    for name in ("vertices", "cells", "boundary_flags"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["square", "interval"])
+def test_read_mesh_returns_the_written_mesh_bitwise(tmp_path, rng, kind):
+    m = jittered_square(64, rng) if kind == "square" else msh.generate_unit_interval(97)
+    msh.validate(m)
+    path = tmp_path / "m.mesh"
+    msh.write_mesh(m, path)
+    assert_same_mesh(msh.read_mesh(path), m)
+
+
+SQUARE_TEXT = "2 4 2\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0 1 2\n0 3 2\n"  # second cell clockwise
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SQUARE_TEXT.replace("\n", "\r\n"),
+        SQUARE_TEXT.replace(" ", "\t"),
+        SQUARE_TEXT.replace(" ", " \t  "),
+        "".join(f"  {line} \t\n" for line in SQUARE_TEXT.splitlines()),
+        "\n \n" + SQUARE_TEXT.replace("1 1\n0 1 2", "1 1\n\t\n\n0 1 2") + "\n\n",
+        "\r\n" + SQUARE_TEXT.replace("\n", "\r\n\r\n").replace(" ", "\t "),
+    ],
+    ids=["crlf", "tabs", "runs", "padded", "blank-lines", "all"],
+)
+def test_read_mesh_accepts_any_whitespace_layout(tmp_path, text):
+    plain, path = tmp_path / "plain.mesh", tmp_path / "variant.mesh"
+    plain.write_text(SQUARE_TEXT)
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_mesh(msh.read_mesh(path), msh.read_mesh(plain))
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("# a comment\n" + SQUARE_TEXT, "header must be"),
+        (SQUARE_TEXT.replace("0 1 2\n", "# cells\n0 1 2\n"), "expected 7 lines, found 8"),
+        (SQUARE_TEXT.replace("0 1 1\n", "0 1 1 # corner\n"), "vertex line 3 needs"),
+        (SQUARE_TEXT + "0 1 2\n", "expected 7 lines, found 8"),
+        (SQUARE_TEXT + "#\n", "expected 7 lines, found 8"),
+    ],
+    ids=["comment-header", "comment-line", "trailing-comment", "extra-line", "extra-comment"],
+)
+def test_read_mesh_has_no_comment_syntax(tmp_path, text, fragment):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(msh.MeshError, match=fragment):
+        msh.read_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "old,new,fragment",
+    [
+        # a shorter count wins over everything else wrong in the file
+        ("2 4 2\n0 0 1\n", "2 4 3\n0 x 7\n", "expected 8 lines, found 7"),
+        # token counts before numbers, the cell block's too
+        ("1 1 1\n0 1 1\n0 1 2\n0 3 2", "1 1 x\n0 1 1\n0 1 2\n0 3", "cell line 1 needs 3 vertex"),
+        # flags before coordinates, although the bad coordinate comes first
+        ("0 0 1\n1 0 1", "0 x 1\n1 0 2", "bad boundary flag on vertex line 1: '1 0 2'"),
+        ("1 0 1", "1 0 -1", "bad boundary flag on vertex line 1: '1 0 -1'"),
+        ("0 1 1\n0", "0 1.0.0 1\n0", "bad vertex coordinate on vertex line 3: '0 1.0.0 1'"),
+        # coordinates before indices
+        ("1 1 1\n0 1 1\n0 1 2", "1 1e 1\n0 1 1\n0 1 x", "bad vertex coordinate on vertex line 2"),
+        ("0 3 2", "0 3 2.0", "bad vertex index on cell line 1: '0 3 2.0'"),
+        # numbers before the index range
+        ("0 1 2\n0 3 2", "0 1 9\n0 3 +", "bad vertex index on cell line 1"),
+        ("0 3 2", "0 3 99999999999999999999", "bad vertex index on cell line 1"),
+    ],
+    ids=["count", "width", "flag-first", "flag-negative", "coordinate", "coordinate-first",
+         "index", "index-before-range", "index-overflow"],
+)
+def test_read_mesh_names_the_first_fault_in_order(tmp_path, old, new, fragment):
+    assert old in SQUARE_TEXT
+    path = tmp_path / "bad.mesh"
+    path.write_text(SQUARE_TEXT.replace(old, new))
+    with pytest.raises(msh.MeshError, match=fragment):
+        msh.read_mesh(path)
+
+
+def test_read_mesh_names_a_bad_line_deep_in_a_block(tmp_path, rng):
+    path = tmp_path / "big.mesh"
+    msh.write_mesh(jittered_square(32, rng), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1 + 700] = lines[1 + 700].replace(" ", " nan0 ", 1)
+    path.write_text("".join(lines))
+    with pytest.raises(msh.MeshError, match="vertex line 700 needs 2 coordinates"):
+        msh.read_mesh(path)
+    lines[1 + 700] = "0.5 0.5 x\n"
+    path.write_text("".join(lines))
+    with pytest.raises(msh.MeshError, match="bad boundary flag on vertex line 700: '0.5 0.5 x'"):
+        msh.read_mesh(path)
+
+
+def test_read_mesh_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.mesh"
+    path.write_bytes(SQUARE_TEXT.replace("0 1 2", "0 1 2 \xe9").encode("latin-1"))
+    with pytest.raises(msh.MeshError, match=r"latin1\.mesh: not UTF-8 text \(byte 0xe9"):
+        msh.read_mesh(path)
+
+
+def test_read_mesh_parses_in_a_few_times_the_file_size(tmp_path, rng, monkeypatch):
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic;
+    # the token lists this replaces peaked at 18x the file
+    path = tmp_path / "square.mesh"
+    msh.write_mesh(jittered_square(64, rng), path)
+    size = path.stat().st_size
+    monkeypatch.setattr(msh, "validate", lambda mesh: None)
+    tracemalloc.start()
+    try:
+        msh.read_mesh(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * size, f"{peak / size:.1f}x the file's {size} bytes"

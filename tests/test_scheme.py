@@ -83,6 +83,22 @@ def test_decoupled_blocks_symmetric_with_positive_diagonal(eps_u, eps_v):
         assert (block.diagonal() > 0.0).all()
 
 
+@pytest.mark.parametrize("kind", ["square", "interval"])
+def test_decoupled_is_scipys_block_diagonal_bitwise(kind):
+    m = oracles.jittered_square(32, seed=7) if kind == "square" else msh.generate_unit_interval(200)
+    mass, stiff = matrices(m)
+    p = params_for(k=0.01, T=2.0, eps_u=0.5, eps_v=0.25)
+    op = scheme.BlockOperator(mass, stiff, p)
+    lam, _ = np.linalg.eigh([[p.eps_u / p.k, -p.alpha], [-p.alpha, p.eps_v / p.k]])
+    shared = (1.0 / (p.k * p.k) + p.alpha) * mass + p.c**2 * stiff
+    want = sp.block_diag([shared + lam_i * mass for lam_i in lam], format="csr")
+    got = op.decoupled
+    assert type(got) is type(want) and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_block_operator_rejects_overflowing_stiffness():
     # c^2 is finite, but c^2 K is not on a fine 1D mesh
     m = msh.generate_unit_interval(1000)
