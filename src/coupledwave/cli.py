@@ -15,17 +15,14 @@ import sys
 
 from . import assembly, mesh, mms, scheme
 from .config import ConfigError, RunConfig, parse_config
-from .energy import EnergyTracker, InsufficientDataError, fit_decay_rate
+from .energy import ENERGY_FIELDS, EnergyTracker, InsufficientDataError, fit_decay_rate
 from .sparse_linalg import SolverFailure
 
 _EXIT_CONFIG = 1
 _EXIT_SOLVER = 2
 _EXIT_IO = 3
 
-# EnergyRecord fields, in energy.csv column order
-ENERGY_COLUMNS = ("n", "t", "E", "kinetic_u", "kinetic_v", "elastic_u", "elastic_v",
-                  "coupling", "dE", "identity_residual", "lyapunov")
-ENERGY_HEADER = ",".join(ENERGY_COLUMNS)
+ENERGY_HEADER = ",".join(ENERGY_FIELDS)
 TABLE_HEADER = "level,h,k,error,order"
 
 
@@ -114,8 +111,9 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
     scheme.run(domain, mass, stiffness, cfg.scheme_params, scheme.initial_preset(cfg.initial),
                config=cfg.solver_config, observer=tracker)
 
+    table = tracker.table
     try:
-        fit = fit_decay_rate(tracker.records, cfg.fit_window)
+        fit = fit_decay_rate(table, cfg.fit_window)
     except InsufficientDataError as exc:
         if cfg.mode == "decay-study":
             raise ConfigError(f"decay fit impossible: {exc}") from exc
@@ -124,7 +122,7 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
     energy_path = _out_path(args, cfg.out_energy)
     _write_energy_csv(energy_path, tracker)
     summary = {
-        "final_energy": tracker.records[-1].E,
+        "final_energy": float(table["E"][-1]),
         "fitted_gamma": fit.gamma if fit else None,
         "fit_residual": fit.residual if fit else None,
         "max_identity_residual": tracker.max_identity_residual,
@@ -136,7 +134,7 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
         fh.write("\n")
 
     if not args.quiet:
-        print(f"wrote {energy_path} ({len(tracker.records)} levels)")
+        print(f"wrote {energy_path} ({len(table)} levels)")
         print(f"wrote {summary_path}")
         if fit is not None:
             print(f"final energy {summary['final_energy']:.6e}, "
@@ -148,11 +146,12 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
 
 
 def _write_energy_csv(path: str, tracker: EnergyTracker) -> None:
-    rows = [ENERGY_HEADER]
-    for rec in tracker.records:
-        rows.append(",".join(_fmt(getattr(rec, name)) for name in ENERGY_COLUMNS))
+    """Write the tracker's table as energy.csv, one row at a time."""
+    width = len(ENERGY_FIELDS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(ENERGY_HEADER + "\n")
+        for row in tracker.table:
+            fh.write(",".join(map(_fmt, row.item()[:width])) + "\n")
 
 
 def _run_convergence(cfg: RunConfig, domain: mesh.Mesh, args) -> int:

@@ -19,6 +19,7 @@ term and is reported for monitoring, not enforced.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,23 @@ class EnergyRecord:
     dissipation: DissipationBreakdown | None = None
 
 
+# the tracker's per-level table: the energy.csv columns in EnergyRecord's
+# order, then the seven dissipation terms (NaN on a run's first level)
+ENERGY_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyRecord))[:-1]
+DISSIPATION_FIELDS = tuple(f.name for f in dataclasses.fields(DissipationBreakdown))
+TABLE_DTYPE = np.dtype([(name, np.int64 if name == "n" else np.float64)
+                        for name in ENERGY_FIELDS + DISSIPATION_FIELDS])
+# the parts of energy_terms' five terms, and the dissipation terms that are
+# differences of those terms, in the same order
+_PARTS = ENERGY_FIELDS[3:8]
+_DIFFERENCES = DISSIPATION_FIELDS[:4] + DISSIPATION_FIELDS[6:]
+# the values a block of rows is made from, and for each table column the one
+# it takes; columns not among them are filled when the table is read
+_BLOCK_VALUES = ("E", *_PARTS, "lyapunov", *_DIFFERENCES)
+_SOURCES = [_BLOCK_VALUES.index(name) if name in _BLOCK_VALUES else 0
+            for name in TABLE_DTYPE.names]
+
+
 @dataclass(frozen=True)
 class LyapunovParams:
     """Weight of the energy term and of the velocity-displacement cross term."""
@@ -106,23 +124,20 @@ class DecayFit:
 BLOCK_BYTES = 512 * 1024
 
 
-def energy_terms(u_prev, u_curr, v_prev, v_curr, mass, stiffness, params: SchemeParams):
-    """The five (weight, a, P a) of a block of level pairs (n-1, n), and each
-    pair's five parts 1/2 weight a.(P a).
+def energy_terms(u_prev, u_curr, v_prev, v_curr, mass, stiffness, k, c2, alpha):
+    """The five (weight, a, P a) of a block of level pairs (n-1, n), and the
+    five parts 1/2 weight a.(P a), each an array of one value per pair.
 
-    The fields, a and P a are (rows, N) arrays with C-contiguous rows, one
-    row per pair.  Each term takes one sparse product for the whole block,
-    and each pair's parts equal bitwise those of the pair alone.  Callers
-    ignore overflow (``np.errstate``) and check the parts.
+    The weights are 1, 1, c2, c2 and alpha; k is the time step of the
+    velocities.  The fields, a and P a are (rows, N) arrays with C-contiguous
+    rows, one row per pair.  Each term takes one sparse product for the whole
+    block, and each pair's parts equal bitwise those of the pair alone.
+    Callers ignore overflow (``np.errstate``) and check the parts.
     """
-    k, c2 = params.k, params.c**2
     terms = [(weight, a, _product(matrix, a)) for weight, matrix, a in (
         (1.0, mass, (u_curr - u_prev) / k), (1.0, mass, (v_curr - v_prev) / k),
-        (c2, stiffness, u_curr), (c2, stiffness, v_curr),
-        (params.alpha, mass, u_curr - v_curr))]
-    halves = [0.5 * weight for weight, _, _ in terms]
-    dots = zip(*(dot(a, pa).tolist() for _, a, pa in terms))
-    return terms, [tuple(half * d for half, d in zip(halves, row)) for row in dots]
+        (c2, stiffness, u_curr), (c2, stiffness, v_curr), (alpha, mass, u_curr - v_curr))]
+    return terms, [0.5 * weight * dot(a, pa) for weight, a, pa in terms]
 
 
 def _product(matrix, a: np.ndarray) -> np.ndarray:
@@ -141,10 +156,9 @@ def _increments(x: np.ndarray, old: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(name: str, value: float, n: int) -> float:
+def _finite(name: str, value: float, n: int) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} {value!r} at level {n} is not finite")
-    return value
 
 
 def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
@@ -159,16 +173,23 @@ def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
 
 
 class EnergyTracker:
-    """Run observer that keeps one EnergyRecord per level, step diagnostics included.
+    """Run observer that keeps a table of per-level values, step diagnostics included.
 
-    It buffers the states it observes and turns blocks of levels into
-    records: five sparse products per block (``energy_terms``), and the
-    step's dissipation from row differences, the previous block's last level
-    carried over.  A block ends when it is full, at level ``params.M_steps``,
-    and when ``records`` is read.  Lyapunov values are tracked when
-    parameters are supplied.  A non-finite energy or Lyapunov value raises
-    ValueError naming its level; a level whose values are not certainly
-    finite ends its block at once, so no later step's error comes first.
+    The table (``table``) is a structured array of TABLE_DTYPE, one row of
+    18 numbers (144 bytes) per level: the energy.csv columns, then the seven
+    dissipation terms of the step into the level, NaN on the run's first
+    level, which no step produced.  The tracker buffers the states it
+    observes and turns a block of levels into rows at once: five sparse
+    products per block (``energy_terms``), E and the Lyapunov value, and the
+    dots of the step's five difference terms, from row differences with the
+    previous block's last level carried over.  A block ends when it is full,
+    at level ``params.M_steps``, and when the table is read.  The read fills
+    the remaining columns (t, dE, the residual and the dissipation terms) of
+    every row since the last read by array operations.  Lyapunov values are
+    tracked when parameters are supplied.  A non-finite energy or Lyapunov
+    value raises ValueError naming its level, the rows before it kept; a
+    level whose values are not certainly finite ends its block at once, so
+    no later step's error comes first.
     """
 
     def __init__(self, mass, stiffness, params: SchemeParams, lyapunov_params=None):
@@ -176,10 +197,11 @@ class EnergyTracker:
         self.stiffness = stiffness
         self.params = params
         self.lyapunov_params = lyapunov_params
-        self._records: list = []
+        self._blocks: list = []  # the table's rows as (rows, 18) arrays, a block at a time
+        self._filled = 0  # the rows whose every column is filled
         self._pending: list = []  # the states observed since the last block
         self._last = None  # the last state observed
-        self._carry = None  # the five (weight, a, P a) of the last block
+        self._carry = None  # the five (weight, a, P a) of the last block's last level
         self._squares = None  # |u|^2 + |v|^2 of the last pending state
         self._rows = max(1, BLOCK_BYTES // (80 * max(mass.shape[0], 1)))
         # (1 + S) growth / 4 bounds a level's energy, Lyapunov value and every
@@ -225,77 +247,124 @@ class EnergyTracker:
             u = np.stack([first.u_prev, *(s.u_curr for s in pending)])
             v = np.stack([first.v_prev, *(s.v_curr for s in pending)])
             fields = (u[:-1], u[1:], v[:-1], v[1:])
-        terms, parts = energy_terms(*fields, self.mass, self.stiffness, p)
+        terms, parts = energy_terms(*fields, self.mass, self.stiffness, p.k, p.c**2, p.alpha)
+        E = sum(parts)  # from the left, as for one level
+        lyap = E
         if lp is not None:
             # M is symmetric, so the cross term du.(M u) + dv.(M v) = u.(M du) + v.(M dv)
-            cross = (dot(fields[1], terms[0][2]) + dot(fields[3], terms[1][2])).tolist()
+            cross = dot(fields[1], terms[0][2]) + dot(fields[3], terms[1][2])
+            lyap = lp.N_weight * E + lp.beta * cross
         # the five terms on the step's increments; the run's first level has
         # no step, and stands in for its own predecessor
         carry = self._carry or [(weight, a[:1], pa[:1]) for weight, a, pa in terms]
-        steps = zip(*(dot(_increments(a, a_old), _increments(pa, pa_old)).tolist()
-                      for (_, a, pa), (_, a_old, pa_old) in zip(terms, carry)))
-        self._carry = terms
-        for i, (state, part, step) in enumerate(zip(pending, parts, steps)):
-            n = state.n
-            E = _finite("energy", sum(part), n)
-            lyap = E if lp is None else _finite("Lyapunov value",
-                                                lp.N_weight * E + lp.beta * cross[i], n)
-            dE, residual, breakdown = 0.0, 0.0, None
-            if self._records:
-                second_u, second_v, gradient_u, gradient_v, coupling = (
-                    -0.5 * weight * d for (weight, _, _), d in zip(terms, step))
-                # friction from the new kinetic parts
-                breakdown = DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
-                                                 -2.0 * p.eps_u * p.k * part[0],
-                                                 -2.0 * p.eps_v * p.k * part[1], coupling)
-                dE = E - self._records[-1].E
-                residual = abs(dE - breakdown.total)
-            self._records.append(EnergyRecord(n, n * p.k, E, *part, dE, residual, lyap,
-                                              breakdown))
+        steps = [dot(_increments(a, a_old), _increments(pa, pa_old))
+                 for (_, a, pa), (_, a_old, pa_old) in zip(terms, carry)]
+        # the last level's rows, not the block they are views of
+        self._carry = terms if len(pending) == 1 else [
+            (weight, a[-1:].copy(), pa[-1:].copy()) for weight, a, pa in terms]
+        block = np.array([E, *parts, lyap, *steps]).take(_SOURCES, axis=0).T.copy()
+        block.view(np.int64)[:, 0] = [state.n for state in pending]
+        finite = [math.isfinite(x) for x in lyap.tolist()]  # lyap is not finite where E is not
+        if all(finite):
+            self._blocks.append(block)
+            return
+        stop = finite.index(False)
+        if stop:
+            self._blocks.append(block[:stop])
+        _finite("energy", float(E[stop]), pending[stop].n)
+        _finite("Lyapunov value", float(lyap[stop]), pending[stop].n)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _fill(self, table: np.ndarray) -> None:
+        """Fill t, dE, the residual and the dissipation terms of the rows
+        from ``self._filled`` on, whose difference columns hold the dots of
+        the step's five difference terms.  Each column repeats a level's
+        scalar arithmetic: sums run from the left."""
+        p, start = self.params, self._filled
+        rows = table[start:]
+        rows["t"] = rows["n"] * p.k
+        # the weights of energy_terms' five terms, which the carry keeps
+        dissipation = [(-0.5 * weight) * rows[name]
+                       for (weight, _, _), name in zip(self._carry, _DIFFERENCES)]
+        # friction from the new kinetic parts
+        dissipation[4:4] = [(-2.0 * p.eps_u * p.k) * rows["kinetic_u"],
+                            (-2.0 * p.eps_v * p.k) * rows["kinetic_v"]]
+        for name, column in zip(DISSIPATION_FIELDS, dissipation):
+            rows[name] = column
+        E = rows["E"]
+        rows["dE"] = dE = _increments(E, table["E"][start - 1:start] if start else E[:1])
+        rows["identity_residual"] = abs(dE - sum(dissipation))
+        if not start:  # the run's first level: no step, nothing dissipated
+            rows["identity_residual"][0] = 0.0
+            for name in DISSIPATION_FIELDS:
+                rows[name][0] = math.nan
+        self._filled = len(table)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The table as a read-only structured array of TABLE_DTYPE, one row
+        per level observed; reading it ends the pending block."""
+        self._flush()
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks)]
+        rows = self._blocks[0] if self._blocks else np.empty((0, len(TABLE_DTYPE.names)))
+        table = rows.view(TABLE_DTYPE)[:, 0]
+        if self._filled < len(table):
+            self._fill(table)
+        table.flags.writeable = False
+        return table
 
     @property
     def records(self) -> list:
-        """One EnergyRecord per level observed; reading it ends the pending block."""
-        self._flush()
-        return self._records
+        """One EnergyRecord per level observed, built from the table on each read."""
+        width = len(ENERGY_FIELDS)
+        return [EnergyRecord(*row[:width], DissipationBreakdown(*row[width:]) if i else None)
+                for i, row in enumerate(self.table.tolist())]
 
     @property
     def max_identity_residual(self) -> float:
-        return max(r.identity_residual for r in self.records)
+        return float(self._column("identity_residual").max())
 
     def is_monotone(self) -> bool:
         """True when E never rises by more than 1e-12 max(E_0, 1) across any step."""
-        energies = [r.E for r in self.records]
+        energies = self._column("E")
         slack = 1e-12 * max(energies[0], 1.0)
-        return all(b <= a + slack for a, b in zip(energies, energies[1:]))
+        return bool((energies[1:] <= energies[:-1] + slack).all())
+
+    def _column(self, name: str) -> np.ndarray:
+        table = self.table
+        if not len(table):
+            raise ValueError("the tracker has observed no levels")
+        return table[name]
 
 
-def fit_decay_rate(records, window: float = 0.5) -> DecayFit:
+def fit_decay_rate(table, window: float = 0.5) -> DecayFit:
     """Fit log E = log_C - gamma t by least squares over a trailing window.
 
-    ``window`` is the trailing fraction of records used (0.5 = second half).
-    Records with E <= 0 are dropped; fewer than three survivors raise
-    InsufficientDataError.
+    ``table`` holds one row per level with fields n, t and E, as
+    ``EnergyTracker.table`` does.  ``window`` is the trailing fraction of
+    rows used (0.5 = second half).  Rows with E <= 0 are dropped; fewer than
+    three survivors raise InsufficientDataError.
     """
     if not 0.0 < window <= 1.0:
         raise ValueError(f"window fraction must be in (0, 1], got {window}")
-    if not records:
+    if not len(table):
         raise InsufficientDataError("no records to fit")
-    start = int(round(len(records) * (1.0 - window)))
-    tail = records[start:]
-    usable = [r for r in tail if r.E > 0.0]
+    start = int(round(len(table) * (1.0 - window)))
+    tail = table[start:]
+    usable = tail[tail["E"] > 0.0]
     if len(usable) < 3:
         raise InsufficientDataError(
             f"need at least 3 positive-energy records in the window, found {len(usable)}"
         )
-    t = np.array([r.t for r in usable])
-    log_e = np.log(np.array([r.E for r in usable]))
+    t = usable["t"]
+    log_e = np.log(usable["E"])
     slope, intercept = np.polyfit(t, log_e, 1)
     predicted = intercept + slope * t
     residual = float(np.sqrt(np.mean((log_e - predicted) ** 2)))
     return DecayFit(
         gamma=float(-slope),
         log_C=float(intercept),
-        window=(tail[0].n, tail[-1].n),
+        window=(int(tail["n"][0]), int(tail["n"][-1])),
         residual=residual,
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -138,16 +137,14 @@ class _ErrorObserver:
     def __init__(self, mass, stiffness, case, mode, params):
         self.mass = mass
         self.stiffness = stiffness
-        # the composite's weights, which no step solves with: energy_terms reads
-        # only k, c and alpha, and SchemeParams' bounds on the step matrix do not apply
-        self.params = SimpleNamespace(k=params.k, c=1.0, alpha=1.0)
+        self.k = params.k
         self.case = case
         self.mode = mode
         self.worst_sq = 0.0
         self.previous = None  # (e_u, e_v) at the lower level of the next pair
 
     def _error(self, n, u, v):
-        shape = math.exp(-n * self.params.k) * self.mode
+        shape = math.exp(-n * self.k) * self.mode
         return self.case.a_u * shape - u, self.case.a_v * shape - v
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -156,11 +153,12 @@ class _ErrorObserver:
             self.previous = self._error(state.n - 1, state.u_prev, state.v_prev)
         prev_u, prev_v = self.previous
         e_u, e_v = self.previous = self._error(state.n, state.u_curr, state.v_curr)
-        (parts,) = energy.energy_terms(prev_u[None], e_u[None], prev_v[None], e_v[None],
-                                       self.mass, self.stiffness, self.params)[1]
-        E = sum(parts)
+        # the composite's weights c^2 = alpha = 1
+        parts = energy.energy_terms(prev_u[None], e_u[None], prev_v[None], e_v[None],
+                                    self.mass, self.stiffness, self.k, 1.0, 1.0)[1]
+        (E,) = sum(parts).tolist()
         if not math.isfinite(E):  # the startup level u + k u_t leaves errors of order k
-            raise ValueError(f"k = {self.params.k!r} is out of range: the MMS error composite "
+            raise ValueError(f"k = {self.k!r} is out of range: the MMS error composite "
                              f"at time level {state.n} is not finite")
         self.worst_sq = max(self.worst_sq, 2.0 * E)
 

@@ -132,6 +132,17 @@ def jittered_square(n: int, seed: int) -> msh.Mesh:
     return jittered
 
 
+def random_run_states(mesh: msh.Mesh, levels: int, seed: int) -> list:
+    """States 1..levels of a run of random fields on the mesh's interior
+    vertices: each state's lower level is the previous state's upper one."""
+    from coupledwave.scheme import State
+
+    n = int((~mesh.boundary_flags).sum())
+    fields = np.random.default_rng(seed).standard_normal((levels + 1, 2, n))
+    return [State(i, fields[i - 1, 0], fields[i, 0], fields[i - 1, 1], fields[i, 1])
+            for i in range(1, levels + 1)]
+
+
 def dissipation_terms(old_state, new_state, mass, stiffness, params) -> dict:
     """The seven dissipation terms of the step from old_state to new_state.
 

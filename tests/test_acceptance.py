@@ -112,7 +112,7 @@ def test_criterion_2_monotone_decay(square8, damping_runs, report):
 
 def test_criterion_3_exponential_decay(long_decay_run, report):
     p, tracker = long_decay_run
-    fit = en.fit_decay_rate(tracker.records, window=0.5)
+    fit = en.fit_decay_rate(tracker.table, window=0.5)
     e_first, e_last = tracker.records[0].E, tracker.records[-1].E
     bound = math.exp(-fit.gamma * p.T / 2.0)
     checks = {
@@ -241,7 +241,7 @@ def test_criterion_9_modal_decay_rate(square8, long_decay_run, report):
         tracker = en.EnergyTracker(mass, stiff, opposed)
         scheme.run(m, mass, stiff, opposed, scheme.initial_preset("sine-opposed"),
                    config=SOLVER, observer=tracker)
-        gamma = en.fit_decay_rate(tracker.records, window=0.5).gamma
+        gamma = en.fit_decay_rate(tracker.table, window=0.5).gamma
         lam = rayleigh_quotient_of_sine(m, mass, stiff)
         expected = oracles.modal_rate(lam, opposed, (1.0, -1.0))
         relative[m.dim] = abs(gamma - expected) / expected
@@ -249,7 +249,7 @@ def test_criterion_9_modal_decay_rate(square8, long_decay_run, report):
     p, tracker = long_decay_run
     lam = rayleigh_quotient_of_sine(*square8)
     slow, fast = (oracles.modal_rate(lam, p, fields) for fields in ((1.0, 1.0), (1.0, -1.0)))
-    gamma = en.fit_decay_rate(tracker.records, window=0.5).gamma
+    gamma = en.fit_decay_rate(tracker.table, window=0.5).gamma
     # (c) the slowest rate over the whole 1D spectrum, lam_j = (6/h^2)
     # (1 - cos j pi h) / (2 + cos j pi h), does not degrade with h
     worst = {}

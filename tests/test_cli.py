@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledwave import assembly, scheme
+import oracles
+from coupledwave import assembly, cli, scheme
 from coupledwave import mesh as msh
 from coupledwave.cli import TABLE_HEADER, run_cli
 from coupledwave.config import ConfigError, RunConfig, parse_config
@@ -308,6 +310,47 @@ def test_energy_rows_equal_the_api_records(tmp_path):
                     rec.elastic_v, rec.coupling, rec.dE, rec.identity_residual, rec.lyapunov]
         assert [float(x) for x in row.split(",")] == expected
     assert tracker.records[-1].lyapunov != tracker.records[-1].E
+
+
+def test_energy_csv_is_written_row_by_row(tmp_path):
+    # 5000 levels of random fields make 0.96 MB of CSV text
+    m = msh.generate_unit_interval(4)
+    mass, stiff = assembly.assemble_mass(m), assembly.assemble_stiffness(m)
+    p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.001, T=5.0)
+    tracker = EnergyTracker(mass, stiff, p)
+    for state in oracles.random_run_states(m, p.M_steps, seed=11):
+        tracker(state)
+    assert tracker.max_identity_residual >= 0.0  # every block taken
+    path = tmp_path / "energy.csv"
+    tracemalloc.start()
+    try:
+        cli._write_energy_csv(str(path), tracker)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path.read_text().splitlines()) == p.M_steps + 1
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("config", [
+    SINE_CONFIG,
+    SINE_CONFIG.replace("simulate", "decay-study")
+    + "lyapunov_n_weight = 10\nlyapunov_beta = 0.5\n",
+], ids=["simulate", "decay-study"])
+def test_cli_outputs_build_no_energy_record(tmp_path, monkeypatch, config):
+    # the CLI reads the tracker's table; a run whose records raise writes the same bytes
+    path = write_config(tmp_path, config)
+    assert run_cli(["--config", path, "--out-dir", str(tmp_path / "plain"), "--quiet"]) == 0
+
+    def refuse(tracker):
+        raise AssertionError("the CLI read EnergyTracker.records")
+
+    monkeypatch.setattr(EnergyTracker, "records", property(refuse))
+    assert run_cli(["--config", path, "--out-dir", str(tmp_path / "table"), "--quiet"]) == 0
+    names = sorted(os.listdir(tmp_path / "plain"))
+    assert names == ["energy.csv", "summary.json"]
+    for name in names:
+        assert (tmp_path / "table" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_decay_study_zero_energy_is_config_error(tmp_path, capsys):

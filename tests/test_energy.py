@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,17 +322,45 @@ def test_tracker_layout():
     assert [r.lyapunov for r in plain.records] == [r.E for r in plain.records]
 
 
-def synthetic_records(energies, dt=0.1):
-    return [
-        en.EnergyRecord(n=i + 1, t=(i + 1) * dt, E=e,
-                        kinetic_u=0, kinetic_v=0, elastic_u=e, elastic_v=0, coupling=0,
-                        dE=0, identity_residual=0, lyapunov=e)
-        for i, e in enumerate(energies)
-    ]
+def test_empty_tracker_says_it_observed_no_levels(square2):
+    _, mass, stiff = square2
+    tracker = en.EnergyTracker(mass, stiff, dyadic_params())
+    with pytest.raises(ValueError, match="the tracker has observed no levels"):
+        tracker.max_identity_residual
+    with pytest.raises(ValueError, match="the tracker has observed no levels"):
+        tracker.is_monotone()
+    assert tracker.records == [] and len(tracker.table) == 0
+
+
+def test_tracker_retains_under_400_bytes_per_level():
+    # the long-decay mesh, N = 225: 1015 levels in 35 blocks of 29 rows
+    m = msh.generate_unit_square(16)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.001, T=1.015)
+    states = oracles.random_run_states(m, p.M_steps, seed=7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracker = en.EnergyTracker(mass, stiff, p, _LYAPUNOV)
+        for state in states:
+            tracker(state)
+        assert tracker.max_identity_residual >= 0.0  # every block taken
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 400 * len(states), retained / len(states)
+
+
+def synthetic_table(energies, dt=0.1):
+    table = np.zeros(len(energies), en.TABLE_DTYPE)
+    table["n"] = np.arange(1, len(energies) + 1)
+    table["t"] = table["n"] * dt
+    table["E"] = table["elastic_u"] = table["lyapunov"] = energies
+    return table
 
 
 def test_fit_constant_energy_has_zero_rate():
-    fit = en.fit_decay_rate(synthetic_records([5.0] * 10))
+    fit = en.fit_decay_rate(synthetic_table([5.0] * 10))
     assert fit.gamma == pytest.approx(0.0, abs=1e-14)
     assert fit.residual == pytest.approx(0.0, abs=1e-14)
     assert fit.log_C == pytest.approx(np.log(5.0), rel=1e-12)
@@ -338,7 +368,7 @@ def test_fit_constant_energy_has_zero_rate():
 
 def test_fit_recovers_exact_exponential():
     t = np.arange(1, 41) * 0.1
-    fit = en.fit_decay_rate(synthetic_records(7.0 * np.exp(-2.0 * t)))
+    fit = en.fit_decay_rate(synthetic_table(7.0 * np.exp(-2.0 * t)))
     assert fit.gamma == pytest.approx(2.0, rel=1e-12)
     assert fit.log_C == pytest.approx(np.log(7.0), rel=1e-10)
     assert fit.residual < 1e-13
@@ -349,7 +379,7 @@ def test_fit_recovers_exact_exponential():
 def test_fit_excludes_zero_energy_records():
     energies = [np.exp(-t) for t in np.arange(10) * 0.1]
     energies[7] = 0.0
-    fit = en.fit_decay_rate(synthetic_records(energies), window=1.0)
+    fit = en.fit_decay_rate(synthetic_table(energies), window=1.0)
     assert fit.gamma == pytest.approx(1.0, rel=1e-10)
 
 
@@ -357,11 +387,11 @@ def test_fit_insufficient_data():
     with pytest.raises(en.InsufficientDataError):
         en.fit_decay_rate([])
     with pytest.raises(en.InsufficientDataError):
-        en.fit_decay_rate(synthetic_records([1.0, 0.9]))
+        en.fit_decay_rate(synthetic_table([1.0, 0.9]))
     with pytest.raises(en.InsufficientDataError):
-        en.fit_decay_rate(synthetic_records([0.0] * 12))
+        en.fit_decay_rate(synthetic_table([0.0] * 12))
     with pytest.raises(ValueError, match="window"):
-        en.fit_decay_rate(synthetic_records([1.0] * 12), window=0.0)
+        en.fit_decay_rate(synthetic_table([1.0] * 12), window=0.0)
 
 
 def test_dense_start_keeps_identity_at_rounding_floor_at_loose_tolerance(monkeypatch):
