@@ -47,11 +47,17 @@ def element_stiffness(coords: np.ndarray) -> np.ndarray:
     measure = _cell_measure(coords)[..., None, None]
     if coords.shape[-2] == 2:
         return np.array([[1.0, -1.0], [-1.0, 1.0]]) / measure
-    # gradient of basis i is perp(opposite edge) / (2A)
-    a, b, c = coords[..., 0, :], coords[..., 1, :], coords[..., 2, :]
-    edges = np.stack([c - b, a - c, b - a], axis=-2)
-    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * measure)
-    return measure * (grads @ np.swapaxes(grads, -1, -2))
+    # gradient of basis i is perp(opposite edge) / (2A), edge i running from
+    # vertex i + 1 to vertex i + 2; one stack, scaled in place
+    grads = np.empty(coords.shape)
+    for i, (head, tail) in enumerate(((2, 1), (0, 2), (1, 0))):
+        edge = coords[..., head, :] - coords[..., tail, :]
+        np.negative(edge[..., 1], out=grads[..., i, 0])
+        grads[..., i, 1] = edge[..., 0]
+    grads /= 2.0 * measure
+    stiffness = grads @ np.swapaxes(grads, -1, -2)
+    stiffness *= measure
+    return stiffness
 
 
 def _cell_measure(coords: np.ndarray) -> np.ndarray:
@@ -65,14 +71,17 @@ def _cell_measure(coords: np.ndarray) -> np.ndarray:
 
 def _assemble(mesh: Mesh, element_fn, row_map, col_map, shape) -> sp.csr_matrix:
     # entries in cell-major (cell, i, j) order; rows or columns mapped to a
-    # negative index (constrained vertices) are dropped
-    local = element_fn(mesh.vertices[mesh.cells])
-    rows, cols = np.broadcast_arrays(
-        row_map[mesh.cells][:, :, None], col_map[mesh.cells][:, None, :]
-    )
+    # negative index (constrained vertices) are dropped.  The triplets are
+    # int32, scipy's index type, so the COO matrix takes them without a copy,
+    # and the element stack, maps and mask are freed before the CSR copy
+    rows = row_map.astype(np.int32)[mesh.cells][:, :, None]
+    cols = col_map.astype(np.int32)[mesh.cells][:, None, :]
     keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])), shape=shape)
-    return mat.tocsr()
+    data = element_fn(mesh.vertices[mesh.cells])[keep]
+    rows = np.broadcast_to(rows, keep.shape)[keep]
+    cols = np.broadcast_to(cols, keep.shape)[keep]
+    del keep
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:

@@ -131,8 +131,10 @@ def energy_terms(u_prev, u_curr, v_prev, v_curr, mass, stiffness, k, c2, alpha):
     The weights are 1, 1, c2, c2 and alpha; k is the time step of the
     velocities.  The fields, a and P a are (rows, N) arrays with C-contiguous
     rows, one row per pair.  Each term takes one sparse product for the whole
-    block, and each pair's parts equal bitwise those of the pair alone.
-    Callers ignore overflow (``np.errstate``) and check the parts.
+    block, and each pair's parts equal bitwise those of the pair alone.  1-D
+    fields are one pair: a and P a are 1-D and the parts Python floats, equal
+    bitwise to those of the same pair as a one-row block.  Callers ignore
+    overflow (``np.errstate``) and check the parts.
     """
     terms = [(weight, a, _product(matrix, a)) for weight, matrix, a in (
         (1.0, mass, (u_curr - u_prev) / k), (1.0, mass, (v_curr - v_prev) / k),
@@ -141,8 +143,10 @@ def energy_terms(u_prev, u_curr, v_prev, v_curr, mass, stiffness, k, c2, alpha):
 
 
 def _product(matrix, a: np.ndarray) -> np.ndarray:
-    """(matrix @ a.T).T with C-contiguous rows; one row takes the cheaper
-    matrix-vector product, which the block product's columns equal."""
+    """(matrix @ a.T).T with C-contiguous rows; 1-D a and one row take the
+    cheaper matrix-vector product, which the block product's columns equal."""
+    if a.ndim == 1:
+        return matrix @ a
     if len(a) == 1:
         return (matrix @ a[0])[None]
     return np.ascontiguousarray((matrix @ a.T).T)

@@ -154,9 +154,9 @@ class _ErrorObserver:
         prev_u, prev_v = self.previous
         e_u, e_v = self.previous = self._error(state.n, state.u_curr, state.v_curr)
         # the composite's weights c^2 = alpha = 1
-        parts = energy.energy_terms(prev_u[None], e_u[None], prev_v[None], e_v[None],
+        parts = energy.energy_terms(prev_u, e_u, prev_v, e_v,
                                     self.mass, self.stiffness, self.k, 1.0, 1.0)[1]
-        (E,) = sum(parts).tolist()
+        E = sum(parts)
         if not math.isfinite(E):  # the startup level u + k u_t leaves errors of order k
             raise ValueError(f"k = {self.k!r} is out of range: the MMS error composite "
                              f"at time level {state.n} is not finite")

@@ -173,12 +173,16 @@ class BlockOperator:
     1/k^2 + alpha + lam_i >= 1/k^2.
 
     ``decoupled`` holds 2 nnz(M) entries against the coupled matrix's
-    4 nnz(M).  The coupled matrix is built on first access only; the CG path
-    never touches it.  The operator also owns what CG reuses from solve to
-    solve: the Jacobi preconditioner ``inv_diag`` (method cg) and either the
-    dense block inverses ``inverse`` (N <= DENSE_START_MAX_N, method cg) or
-    the last three rotated solutions x and A x, which ``projected_guess``
-    starts from.  That history belongs to one chain of ``step`` calls, so
+    4 nnz(M).  It is built entry by entry on M's index arrays, each entry in
+    the order of scipy's sums of the scaled matrices, so ``mass`` and
+    ``stiffness`` must share one sparsity pattern (equal ``indptr`` and
+    ``indices``, explicit zeros included), as assembly gives them; a pair
+    that does not raises ValueError.  The coupled matrix is built on first
+    access only; the CG path never touches it.  The operator also owns what
+    CG reuses from solve to solve: the Jacobi preconditioner ``inv_diag``
+    (method cg) and either the dense block inverses ``inverse``
+    (N <= DENSE_START_MAX_N, method cg) or the last three rotated solutions
+    x and A x, which ``projected_guess`` starts from.  That history belongs to one chain of ``step`` calls, so
     every run builds its own operator.  A block or a diagonal that does not
     invert in floating point raises ValueError.
     """
@@ -188,16 +192,23 @@ class BlockOperator:
         k, alpha = params.k, params.alpha
         damping = np.array([[params.eps_u / k, -alpha], [-alpha, params.eps_v / k]])
         lam, self.rotation = np.linalg.eigh(damping)
+        if not (mass.shape == stiffness.shape and np.array_equal(mass.indptr, stiffness.indptr)
+                and np.array_equal(mass.indices, stiffness.indices)):
+            raise ValueError("the mass and stiffness matrices do not share one sparsity pattern")
+        # blockdiag(D + lam_1 M, D + lam_2 M) entry by entry on M's pattern, each
+        # entry in the order of scipy's ((1/k^2 + alpha) M + c^2 K) + lam_i M
+        self.n_field = n = mass.shape[0]
+        nnz = mass.nnz
+        data = np.empty(2 * nnz)
         # c^2 K can overflow on a fine mesh although c^2 itself is finite
         with np.errstate(over="ignore", invalid="ignore"):
-            shared = (1.0 / (k * k) + alpha) * mass + params.c**2 * stiffness
-            upper, lower = (shared + lam_i * mass for lam_i in lam)
-        # blockdiag(upper, lower) from the blocks' own CSR arrays, with no COO copy
-        self.n_field = n = mass.shape[0]
+            shared = np.multiply(mass.data, 1.0 / (k * k) + alpha, out=data[:nnz])
+            shared += stiffness.data * params.c**2
+            np.add(shared, mass.data * lam[1], out=data[nnz:])
+            shared += mass.data * lam[0]
         self.decoupled = sp.csr_matrix(
-            (np.concatenate([upper.data, lower.data]),
-             np.concatenate([upper.indices, lower.indices + n]),
-             np.concatenate([upper.indptr, lower.indptr[1:] + upper.indptr[-1]])),
+            (data, np.concatenate([mass.indices, mass.indices + n]),
+             np.concatenate([mass.indptr, mass.indptr[1:] + nnz])),
             shape=(2 * n, 2 * n))
         if not np.isfinite(self.decoupled.data).all():
             raise ValueError(f"c = {params.c!r} is out of range: the step matrix "

@@ -11,8 +11,10 @@ them from the increments of each level's energy terms.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
 
 from coupledwave import mesh as msh
 
@@ -130,6 +132,35 @@ def jittered_square(n: int, seed: int) -> msh.Mesh:
     jittered = msh.Mesh(2, vertices, base.cells.copy(), base.boundary_flags.copy(), h)
     msh.validate(jittered)
     return jittered
+
+
+def reference_assembly(mesh: msh.Mesh, element_fn, row_map, col_map, shape) -> sp.csr_matrix:
+    """The masked COO build that assembly keeps bitwise: entries in cell-major
+    (cell, i, j) order, int64 triplets, rows or columns mapped to a negative
+    index dropped, duplicates summed by scipy's COO -> CSR conversion."""
+    local = element_fn(mesh.vertices[mesh.cells])
+    rows, cols = np.broadcast_arrays(
+        row_map[mesh.cells][:, :, None], col_map[mesh.cells][:, None, :]
+    )
+    keep = (rows >= 0) & (cols >= 0)
+    mat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])), shape=shape)
+    return mat.tocsr()
+
+
+def traced_memory(fn, *args, **kwargs):
+    """(result, peak, retained) of one call under tracemalloc: the peak and
+    the bytes still allocated afterwards, both above the start of the call.
+    numpy and scipy report their buffers to tracemalloc, so both are
+    deterministic."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, current - before
 
 
 def random_run_states(mesh: msh.Mesh, levels: int, seed: int) -> list:

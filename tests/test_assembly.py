@@ -80,6 +80,40 @@ def test_element_matrices_of_a_stack_equal_per_cell_calls(rng):
             np.testing.assert_array_equal(element(coords), [element(c) for c in coords])
 
 
+def assert_bitwise(got, want):
+    assert type(got) is type(want) and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["interval", "square", "jittered", "refined"])
+def test_assembly_is_the_masked_coo_build_bitwise(kind):
+    # the structured square's K holds 72 explicit zeros among its 289 entries
+    m = {"interval": lambda: msh.generate_unit_interval(9),
+         "square": lambda: msh.generate_unit_square(8),
+         "jittered": lambda: oracles.jittered_square(16, seed=3),
+         "refined": lambda: msh.refine_uniform(oracles.jittered_square(6, seed=5))}[kind]()
+    dof, n = msh.interior_dof_map(m), m.n_interior
+    mass, stiffness = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    assert_bitwise(mass, oracles.reference_assembly(m, asm.element_mass, dof, dof, (n, n)))
+    assert_bitwise(stiffness,
+                   oracles.reference_assembly(m, asm.element_stiffness, dof, dof, (n, n)))
+    assert_bitwise(asm.load_matrix(m), oracles.reference_assembly(
+        m, asm.element_mass, dof, np.arange(m.n_vertices), (n, m.n_vertices)))
+    # one sparsity pattern, which the step operator is built on
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(mass, name), getattr(stiffness, name)), name
+
+
+def test_assemble_mass_peaks_under_11_mb():
+    # N = 16129: the int64 masked triplets, their int32 copies and the element
+    # stack alive through the CSR copy peaked at 13.9 MB
+    m = oracles.jittered_square(128, seed=3)
+    _, peak, _ = oracles.traced_memory(asm.assemble_mass, m)
+    assert peak < 11e6, peak
+
+
 def test_interval_interior_matrices():
     # two cells of length 1/2 around the single interior vertex
     m = msh.generate_unit_interval(2)

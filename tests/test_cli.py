@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -322,12 +321,7 @@ def test_energy_csv_is_written_row_by_row(tmp_path):
         tracker(state)
     assert tracker.max_identity_residual >= 0.0  # every block taken
     path = tmp_path / "energy.csv"
-    tracemalloc.start()
-    try:
-        cli._write_energy_csv(str(path), tracker)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = oracles.traced_memory(cli._write_energy_csv, str(path), tracker)
     assert len(path.read_text().splitlines()) == p.M_steps + 1
     assert peak < 1_000_000, peak
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +270,21 @@ def test_blocked_tracker_equals_per_level_arithmetic_bitwise(monkeypatch, lyapun
                                                                    lyapunov))
 
 
+# N = 225, and N = 8281 > sparse_linalg.DOT_CHUNK, whose dots come in two pieces
+@pytest.mark.parametrize("n", [16, 92])
+def test_energy_terms_of_1d_fields_are_the_one_row_floats(n):
+    m = oracles.jittered_square(n, seed=3)
+    mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
+    fields = np.random.default_rng(n).standard_normal((4, mass.shape[0]))
+    terms, parts = en.energy_terms(*fields, mass, stiff, 0.05, 1.69, 2.0)
+    rows, row_parts = en.energy_terms(*fields[:, None], mass, stiff, 0.05, 1.69, 2.0)
+    assert all(type(part) is float for part in parts)
+    assert parts == [row_part.item() for row_part in row_parts]
+    for (weight, a, pa), (row_weight, row_a, row_pa) in zip(terms, rows):
+        assert weight == row_weight and a.ndim == pa.ndim == 1
+        assert a.tobytes() == row_a.tobytes() and pa.tobytes() == row_pa.tobytes()
+
+
 def test_records_read_mid_run_are_complete_and_exact(monkeypatch):
     mass, stiff, p, states = sine_run(6)
     rows_per_block(monkeypatch, 4, mass.shape[0])
@@ -338,16 +351,15 @@ def test_tracker_retains_under_400_bytes_per_level():
     mass, stiff = asm.assemble_mass(m), asm.assemble_stiffness(m)
     p = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.001, T=1.015)
     states = oracles.random_run_states(m, p.M_steps, seed=7)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def observe_all():
         tracker = en.EnergyTracker(mass, stiff, p, _LYAPUNOV)
         for state in states:
             tracker(state)
         assert tracker.max_identity_residual >= 0.0  # every block taken
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return tracker
+
+    _, _, retained = oracles.traced_memory(observe_all)
     assert retained < 400 * len(states), retained / len(states)
 
 

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledwave import mesh as msh
+
+import oracles
 
 
 def test_unit_interval_basic():
@@ -392,10 +393,5 @@ def test_read_mesh_parses_in_a_few_times_the_file_size(tmp_path, rng, monkeypatc
     msh.write_mesh(jittered_square(64, rng), path)
     size = path.stat().st_size
     monkeypatch.setattr(msh, "validate", lambda mesh: None)
-    tracemalloc.start()
-    try:
-        msh.read_mesh(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = oracles.traced_memory(msh.read_mesh, path)
     assert peak < 6 * size, f"{peak / size:.1f}x the file's {size} bytes"

@@ -83,9 +83,12 @@ def test_decoupled_blocks_symmetric_with_positive_diagonal(eps_u, eps_v):
         assert (block.diagonal() > 0.0).all()
 
 
-@pytest.mark.parametrize("kind", ["square", "interval"])
+# the structured square's K holds explicit zeros, which the pattern keeps
+@pytest.mark.parametrize("kind", ["square", "interval", "structured"])
 def test_decoupled_is_scipys_block_diagonal_bitwise(kind):
-    m = oracles.jittered_square(32, seed=7) if kind == "square" else msh.generate_unit_interval(200)
+    m = {"square": lambda: oracles.jittered_square(32, seed=7),
+         "interval": lambda: msh.generate_unit_interval(200),
+         "structured": lambda: msh.generate_unit_square(8)}[kind]()
     mass, stiff = matrices(m)
     p = params_for(k=0.01, T=2.0, eps_u=0.5, eps_v=0.25)
     op = scheme.BlockOperator(mass, stiff, p)
@@ -97,6 +100,22 @@ def test_decoupled_is_scipys_block_diagonal_bitwise(kind):
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_block_operator_rejects_matrices_of_two_patterns():
+    mass, stiff = matrices(msh.generate_unit_square(8))
+    stiff.eliminate_zeros()  # 289 -> 217 entries
+    assert (mass.nnz, stiff.nnz) == (289, 217)
+    with pytest.raises(ValueError, match="do not share one sparsity pattern"):
+        scheme.BlockOperator(mass, stiff, params_for(k=0.01, T=2.0))
+
+
+def test_block_operator_build_peaks_under_one_and_a_half_times_what_it_keeps():
+    # N = 16129: the scipy sums and block arrays built on the way peaked at 3.8x
+    mass, stiff = matrices(oracles.jittered_square(128, seed=3))
+    p = params_for(k=0.01, T=2.0, eps_u=0.5, eps_v=0.25)
+    _, peak, kept = oracles.traced_memory(scheme.BlockOperator, mass, stiff, p)
+    assert peak < 1.5 * kept, peak / kept
 
 
 def test_block_operator_rejects_overflowing_stiffness():
