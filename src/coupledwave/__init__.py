@@ -38,18 +38,7 @@ from .assembly import (
     interpolate,
 )
 from .config import ConfigError, RunConfig, parse_config
-
-# the energy() op itself stays in its submodule: re-exporting it here would
-# shadow the coupledwave.energy module object
-from .energy import (
-    DecayFit,
-    DissipationBreakdown,
-    EnergyRecord,
-    EnergyTracker,
-    InsufficientDataError,
-    LyapunovParams,
-    fit_decay_rate,
-)
+from .energy import DecayFit, EnergyTracker, InsufficientDataError, LyapunovParams, fit_decay_rate
 from .mesh import (
     BOUNDARY,
     Mesh,

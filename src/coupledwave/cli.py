@@ -148,10 +148,11 @@ def _run_simulation(cfg: RunConfig, domain: mesh.Mesh, args) -> int:
 def _write_energy_csv(path: str, tracker: EnergyTracker) -> None:
     """Write the tracker's table as energy.csv, one row at a time."""
     width = len(ENERGY_FIELDS)
+    row_format = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ENERGY_HEADER + "\n")
         for row in tracker.table:
-            fh.write(",".join(map(_fmt, row.item()[:width])) + "\n")
+            fh.write(row_format % row.item()[:width])
 
 
 def _run_convergence(cfg: RunConfig, domain: mesh.Mesh, args) -> int:

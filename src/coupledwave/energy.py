@@ -14,12 +14,13 @@ the two friction terms are -2 eps k times the new kinetic terms.  The gap
 between the drop and that sum (the identity residual) is |r . dx| plus
 rounding, where r = b - A x is the step solve's residual and dx the step's
 increment of [u; v].  The Lyapunov value adds a velocity-displacement cross
-term and is reported for monitoring, not enforced.
+term and is reported for monitoring, not enforced.  ``EnergyTracker.table``
+is the one record of these values: a numpy structured array, one row per
+level, read by field name.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -33,52 +34,12 @@ class InsufficientDataError(ValueError):
     """Raised when a decay fit has fewer than three positive-energy records."""
 
 
-@dataclass(frozen=True)
-class DissipationBreakdown:
-    """The seven nonpositive summands of the energy drop across one step."""
-
-    second_difference_u: float
-    second_difference_v: float
-    gradient_difference_u: float
-    gradient_difference_v: float
-    friction_u: float
-    friction_v: float
-    coupling_difference: float
-
-    @property
-    def total(self) -> float:
-        return sum(getattr(self, name) for name in self.__dataclass_fields__)
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """One energy.csv row: the energy of a level pair, indexed by the upper
-    level n at time t = n k, with the diagnostics of the step into level n.
-
-    ``dE`` (the energy drop), ``identity_residual`` (|dE minus the dissipation
-    sum|) and ``dissipation`` are 0.0, 0.0 and None for records that no scheme
-    step produced (the startup level).  ``lyapunov`` equals E unless Lyapunov
-    parameters were tracked.
-    """
-
-    n: int
-    t: float
-    E: float
-    kinetic_u: float
-    kinetic_v: float
-    elastic_u: float
-    elastic_v: float
-    coupling: float
-    dE: float
-    identity_residual: float
-    lyapunov: float
-    dissipation: DissipationBreakdown | None = None
-
-
-# the tracker's per-level table: the energy.csv columns in EnergyRecord's
-# order, then the seven dissipation terms (NaN on a run's first level)
-ENERGY_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyRecord))[:-1]
-DISSIPATION_FIELDS = tuple(f.name for f in dataclasses.fields(DissipationBreakdown))
+# the tracker's per-level table: the energy.csv columns, then the seven
+# dissipation terms of the step into the level (NaN on a run's first level)
+ENERGY_FIELDS = ("n", "t", "E", "kinetic_u", "kinetic_v", "elastic_u", "elastic_v", "coupling",
+                 "dE", "identity_residual", "lyapunov")
+DISSIPATION_FIELDS = ("second_difference_u", "second_difference_v", "gradient_difference_u",
+                      "gradient_difference_v", "friction_u", "friction_v", "coupling_difference")
 TABLE_DTYPE = np.dtype([(name, np.int64 if name == "n" else np.float64)
                         for name in ENERGY_FIELDS + DISSIPATION_FIELDS])
 # the parts of energy_terms' five terms, and the dissipation terms that are
@@ -165,35 +126,26 @@ def _finite(name: str, value: float, n: int) -> None:
         raise ValueError(f"{name} {value!r} at level {n} is not finite")
 
 
-def energy(state: State, mass, stiffness, params: SchemeParams) -> EnergyRecord:
-    """EnergyRecord of a state's level pair (n-1, n), stamped with level n.
-
-    The record describes no step: dE and identity_residual are 0.0 and
-    lyapunov is E.  A non-finite E raises ValueError.
-    """
-    tracker = EnergyTracker(mass, stiffness, params)
-    tracker(state)
-    return tracker.records[0]
-
-
 class EnergyTracker:
     """Run observer that keeps a table of per-level values, step diagnostics included.
 
     The table (``table``) is a structured array of TABLE_DTYPE, one row of
-    18 numbers (144 bytes) per level: the energy.csv columns, then the seven
-    dissipation terms of the step into the level, NaN on the run's first
-    level, which no step produced.  The tracker buffers the states it
+    18 numbers (144 bytes) per level, read by field name (``table["E"]``,
+    ``table[i]["friction_u"]``): the energy.csv columns, then the seven
+    dissipation terms of the step into the level.  The run's first level,
+    which no step produced, has dE and identity_residual 0.0 and NaN
+    dissipation terms.  The lyapunov column is E unless Lyapunov parameters
+    are supplied.  The tracker buffers the states it
     observes and turns a block of levels into rows at once: five sparse
     products per block (``energy_terms``), E and the Lyapunov value, and the
     dots of the step's five difference terms, from row differences with the
     previous block's last level carried over.  A block ends when it is full,
     at level ``params.M_steps``, and when the table is read.  The read fills
     the remaining columns (t, dE, the residual and the dissipation terms) of
-    every row since the last read by array operations.  Lyapunov values are
-    tracked when parameters are supplied.  A non-finite energy or Lyapunov
-    value raises ValueError naming its level, the rows before it kept; a
-    level whose values are not certainly finite ends its block at once, so
-    no later step's error comes first.
+    every row since the last read by array operations.  A non-finite energy
+    or Lyapunov value raises ValueError naming its level, the rows before it
+    kept; a level whose values are not certainly finite ends its block at
+    once, so no later step's error comes first.
     """
 
     def __init__(self, mass, stiffness, params: SchemeParams, lyapunov_params=None):
@@ -317,13 +269,6 @@ class EnergyTracker:
             self._fill(table)
         table.flags.writeable = False
         return table
-
-    @property
-    def records(self) -> list:
-        """One EnergyRecord per level observed, built from the table on each read."""
-        width = len(ENERGY_FIELDS)
-        return [EnergyRecord(*row[:width], DissipationBreakdown(*row[width:]) if i else None)
-                for i, row in enumerate(self.table.tolist())]
 
     @property
     def max_identity_residual(self) -> float:

@@ -211,6 +211,21 @@ def modal_rate(lam, params, fields=None):
     that the data (u, v) = (a_u, a_v) phi at rest excites.  ``lam`` may be an
     array; the result then has its shape.
     """
+    values, vectors = np.linalg.eig(_companion(lam, params))
+    if fields is None:
+        rho = np.abs(values).max(axis=-1)
+    else:
+        # the startup level of data at rest repeats it: x_1 = x_0
+        start = np.broadcast_to(np.array([*fields, *fields], dtype=complex), values.shape)
+        weights = np.abs(np.linalg.solve(vectors, start[..., None])[..., 0])
+        excited = weights > 1e-10 * weights.max(axis=-1, keepdims=True)
+        rho = np.where(excited, np.abs(values), 0.0).max(axis=-1)
+    return -2.0 * np.log(rho) / params.k
+
+
+def _companion(lam, params) -> np.ndarray:
+    """The 4 x 4 step matrices of ``modal_rate`` on (a_n, b_n, a_{n-1}, b_{n-1}),
+    one per eigenvalue in ``lam``."""
     k = params.k
     lam = np.asarray(lam, dtype=float)
     eye = np.eye(2)
@@ -222,16 +237,44 @@ def modal_rate(lam, params, fields=None):
     companion[..., :2, :2] = np.linalg.solve(a, np.broadcast_to(b, a.shape))
     companion[..., :2, 2:] = np.linalg.solve(a, np.broadcast_to(-eye / k**2, a.shape))
     companion[..., 2:, :2] = eye
-    values, vectors = np.linalg.eig(companion)
-    if fields is None:
-        rho = np.abs(values).max(axis=-1)
-    else:
-        # the startup level of data at rest repeats it: x_1 = x_0
-        start = np.broadcast_to(np.array([*fields, *fields], dtype=complex), values.shape)
-        weights = np.abs(np.linalg.solve(vectors, start[..., None])[..., 0])
-        excited = weights > 1e-10 * weights.max(axis=-1, keepdims=True)
-        rho = np.where(excited, np.abs(values), 0.0).max(axis=-1)
-    return -2.0 * np.log(rho) / k
+    return companion
+
+
+def lyapunov_contraction(lam, params, weights):
+    """(sigma, lower, upper) of the Lyapunov value on one generalized
+    eigenpair K phi = lam M phi, |phi|_M = 1.
+
+    On span{phi} the levels are u_n = a_n phi and v_n = b_n phi, and the
+    energy E and the value L = N_weight E + beta (a_n (a_n - a_{n-1})
+    + b_n (b_n - b_{n-1})) / k of ``energy.EnergyTracker`` (``weights``
+    holds N_weight and beta) are quadratic forms z.(E z) and z.(Q z) of
+    z = (a_n, b_n, a_{n-1}, b_{n-1}).  One step maps z to T z, T the
+    companion of ``modal_rate``.  With Q = C C^T (Cholesky), the largest
+    eigenvalue l of C^-1 T^T Q T C^-T bounds L_{n+1} / L_n, so every step
+    contracts L at the rate (L_n - L_{n+1}) / (k L_n) >= sigma = (1 - l) / k;
+    the extreme eigenvalues of C^-1 E C^-T bound E / L, whence
+    lower <= L / E <= upper.  ``lam`` may be an array; each result then has
+    its shape.
+    """
+    k = params.k
+    lam = np.asarray(lam, dtype=float)
+    step = _companion(lam, params)
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    displacement = np.hstack([eye, zero])  # z -> (a_n, b_n)
+    velocity = np.hstack([eye, -eye]) / k  # z -> the backward differences
+    gap = np.array([[1.0, -1.0, 0.0, 0.0]])  # z -> a_n - b_n
+    energy = (0.5 * (velocity.T @ velocity + params.alpha * gap.T @ gap)
+              + 0.5 * params.c**2 * lam[..., None, None] * (displacement.T @ displacement))
+    cross = displacement.T @ velocity
+    q = weights.N_weight * energy + 0.5 * weights.beta * (cross + cross.T)
+    chol = np.linalg.cholesky(q)
+
+    def reduced(a):  # C^-1 a C^-T of a symmetric a
+        return np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, a), -1, -2))
+
+    largest = np.linalg.eigvalsh(reduced(np.swapaxes(step, -1, -2) @ q @ step))[..., -1]
+    ratios = np.linalg.eigvalsh(reduced(energy))  # E / L, ascending
+    return (1.0 - largest) / k, 1.0 / ratios[..., -1], 1.0 / ratios[..., 0]
 
 
 def mms_error_1d(n: int, k: float, params, case) -> float:
@@ -281,19 +324,21 @@ def mms_error_1d(n: int, k: float, params, case) -> float:
     return math.sqrt(worst)
 
 
-def per_level_records(states, mass, stiffness, params, lyapunov_params=None) -> list:
-    """EnergyRecords of consecutive states, one level at a time.
+def per_level_table(states, mass, stiffness, params, lyapunov_params=None) -> np.ndarray:
+    """The table of consecutive states, one level at a time, as an array of
+    ``energy.TABLE_DTYPE``.
 
     This is the tracker's arithmetic taken level by level, with one sparse
     matrix-vector product per energy term and one ``sparse_linalg.dot`` per
     sum, in the order the tracker keeps: parts 1/2 weight a.(P a), E their sum from
     the left, the dissipation terms -1/2 weight (a - a_old).(P a - P a_old)
-    and friction -2 eps k times the new kinetic part.
+    and friction -2 eps k times the new kinetic part.  The first row's dE
+    and residual are 0.0 and its dissipation terms NaN.
     """
-    from coupledwave.energy import DissipationBreakdown, EnergyRecord
+    from coupledwave.energy import TABLE_DTYPE
     from coupledwave.sparse_linalg import dot
 
-    records, old_terms = [], None
+    rows, old_terms, old_E = [], None, None
     for state in states:
         k = params.k
         du = (state.u_curr - state.u_prev) / k
@@ -309,17 +354,16 @@ def per_level_records(states, mass, stiffness, params, lyapunov_params=None) -> 
         if lyapunov_params is not None:
             cross = dot(state.u_curr, terms[0][2]) + dot(state.v_curr, terms[1][2])
             lyap = lyapunov_params.N_weight * E + lyapunov_params.beta * cross
-        dE, residual, breakdown = 0.0, 0.0, None
+        dE, residual, dissipation = 0.0, 0.0, (math.nan,) * 7
         if old_terms is not None:
             second_u, second_v, gradient_u, gradient_v, coupling = (
                 -0.5 * weight * dot(a - a_old, pa - pa_old)
                 for (weight, a, pa), (_, a_old, pa_old) in zip(terms, old_terms))
-            breakdown = DissipationBreakdown(second_u, second_v, gradient_u, gradient_v,
-                                             -2.0 * params.eps_u * k * parts[0],
-                                             -2.0 * params.eps_v * k * parts[1], coupling)
-            dE = E - records[-1].E
-            residual = abs(dE - breakdown.total)
-        records.append(EnergyRecord(state.n, state.n * k, E, *parts, dE, residual, lyap,
-                                    breakdown))
-        old_terms = terms
-    return records
+            dissipation = (second_u, second_v, gradient_u, gradient_v,
+                           -2.0 * params.eps_u * k * parts[0],
+                           -2.0 * params.eps_v * k * parts[1], coupling)
+            dE = E - old_E
+            residual = abs(dE - sum(dissipation))
+        rows.append((state.n, state.n * k, E, *parts, dE, residual, lyap, *dissipation))
+        old_terms, old_E = terms, E
+    return np.array(rows, dtype=TABLE_DTYPE)

@@ -257,7 +257,7 @@ def test_run_leaves_no_other_thread_busy():
                observer=tracker)
     time.sleep(0.2)
     others = (time.process_time() - process) - (time.thread_time() - thread)
-    assert len(tracker.records) == cfg.scheme_params.M_steps
+    assert len(tracker.table) == cfg.scheme_params.M_steps
     assert others < 0.02
 
 
@@ -303,12 +303,12 @@ def test_energy_rows_equal_the_api_records(tmp_path):
                config=SolverConfig(rel_tol=1e-12), observer=tracker)
     lines = (out / "energy.csv").read_text().splitlines()
     assert lines[0] == README_ENERGY_HEADER
-    assert len(lines) - 1 == len(tracker.records) == p.M_steps
-    for row, rec in zip(lines[1:], tracker.records):
-        expected = [rec.n, rec.t, rec.E, rec.kinetic_u, rec.kinetic_v, rec.elastic_u,
-                    rec.elastic_v, rec.coupling, rec.dE, rec.identity_residual, rec.lyapunov]
-        assert [float(x) for x in row.split(",")] == expected
-    assert tracker.records[-1].lyapunov != tracker.records[-1].E
+    table = tracker.table
+    assert len(lines) - 1 == len(table) == p.M_steps
+    for line, row in zip(lines[1:], table):
+        expected = [row[name] for name in README_ENERGY_HEADER.split(",")]
+        assert [float(x) for x in line.split(",")] == expected
+    assert table["lyapunov"][-1] != table["E"][-1]
 
 
 def test_energy_csv_is_written_row_by_row(tmp_path):
@@ -324,27 +324,6 @@ def test_energy_csv_is_written_row_by_row(tmp_path):
     _, peak, _ = oracles.traced_memory(cli._write_energy_csv, str(path), tracker)
     assert len(path.read_text().splitlines()) == p.M_steps + 1
     assert peak < 1_000_000, peak
-
-
-@pytest.mark.parametrize("config", [
-    SINE_CONFIG,
-    SINE_CONFIG.replace("simulate", "decay-study")
-    + "lyapunov_n_weight = 10\nlyapunov_beta = 0.5\n",
-], ids=["simulate", "decay-study"])
-def test_cli_outputs_build_no_energy_record(tmp_path, monkeypatch, config):
-    # the CLI reads the tracker's table; a run whose records raise writes the same bytes
-    path = write_config(tmp_path, config)
-    assert run_cli(["--config", path, "--out-dir", str(tmp_path / "plain"), "--quiet"]) == 0
-
-    def refuse(tracker):
-        raise AssertionError("the CLI read EnergyTracker.records")
-
-    monkeypatch.setattr(EnergyTracker, "records", property(refuse))
-    assert run_cli(["--config", path, "--out-dir", str(tmp_path / "table"), "--quiet"]) == 0
-    names = sorted(os.listdir(tmp_path / "plain"))
-    assert names == ["energy.csv", "summary.json"]
-    for name in names:
-        assert (tmp_path / "table" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_decay_study_zero_energy_is_config_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coupledwave import assembly as asm
+from coupledwave import cli
 from coupledwave import energy as en
 from coupledwave import mesh as msh
 from coupledwave import scheme
@@ -23,18 +24,25 @@ def dyadic_params(**kw):
     return scheme.SchemeParams(**defaults)
 
 
+def level_row(state, mass, stiff, p, lyapunov=None):
+    """The table row a fresh tracker makes of one state's level pair."""
+    tracker = en.EnergyTracker(mass, stiff, p, lyapunov)
+    tracker(state)
+    return tracker.table[0]
+
+
 def test_energy_frozen_single_dof_example(square2):
     # M = [[1/8]], K = [[4]]: static u = 1, v = 0 gives
     # E = 0 + 0 + 2 + 0 + 1/16 (all dyadic, so equality is exact)
     _, mass, stiff = square2
     one = np.ones(1)
     state = scheme.State(1, one, one, np.zeros(1), np.zeros(1))
-    rec = en.energy(state, mass, stiff, dyadic_params())
-    assert rec.E == pytest.approx(2.0625, rel=1e-14)
-    assert (rec.kinetic_u, rec.kinetic_v) == (0.0, 0.0)
-    assert (rec.elastic_u, rec.elastic_v) == (2.0, 0.0)
-    assert rec.coupling == pytest.approx(0.0625, rel=1e-14)
-    assert rec.n == 1 and rec.t == 0.5
+    row = level_row(state, mass, stiff, dyadic_params())
+    assert row["E"] == pytest.approx(2.0625, rel=1e-14)
+    assert (row["kinetic_u"], row["kinetic_v"]) == (0.0, 0.0)
+    assert (row["elastic_u"], row["elastic_v"]) == (2.0, 0.0)
+    assert row["coupling"] == pytest.approx(0.0625, rel=1e-14)
+    assert row["n"] == 1 and row["t"] == 0.5
 
 
 def test_lyapunov_frozen_single_dof_example(square2):
@@ -43,13 +51,11 @@ def test_lyapunov_frozen_single_dof_example(square2):
     _, mass, stiff = square2
     state = scheme.State(1, np.ones(1), np.array([1.5]), np.zeros(1), np.zeros(1))
     p = dyadic_params()
-    rec = en.energy(state, mass, stiff, p)
-    assert rec.E == pytest.approx(4.703125, rel=1e-14)
+    assert level_row(state, mass, stiff, p)["E"] == pytest.approx(4.703125, rel=1e-14)
     # doubling beta adds one more copy of the cross term (0.1875)
     for beta, expected in ((1.0, 47.21875), (2.0, 47.40625)):
-        tracker = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(N_weight=10.0, beta=beta))
-        tracker(state)
-        assert [r.lyapunov for r in tracker.records] == [pytest.approx(expected, rel=1e-14)]
+        row = level_row(state, mass, stiff, p, en.LyapunovParams(N_weight=10.0, beta=beta))
+        assert row["lyapunov"] == pytest.approx(expected, rel=1e-14)
 
 
 def test_lyapunov_params_validation():
@@ -65,10 +71,11 @@ def test_energy_equals_component_sum_along_run():
     p = scheme.SchemeParams(c=1, eps_u=0.5, eps_v=0.25, alpha=1, k=0.05, T=0.5)
     tracker = en.EnergyTracker(mass, stiff, p)
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=tracker)
-    for rec in tracker.records:
-        parts = rec.kinetic_u + rec.kinetic_v + rec.elastic_u + rec.elastic_v + rec.coupling
-        assert rec.E >= 0.0
-        assert abs(rec.E - parts) <= 1e-13 * max(rec.E, 1.0)
+    for row in tracker.table:
+        parts = (row["kinetic_u"] + row["kinetic_v"] + row["elastic_u"] + row["elastic_v"]
+                 + row["coupling"])
+        assert row["E"] >= 0.0
+        assert abs(row["E"] - parts) <= 1e-13 * max(row["E"], 1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,9 +86,9 @@ def test_energy_is_quadratic_in_the_state(scale):
     p = dyadic_params(eps_u=0.5)
     rng = np.random.default_rng(11)
     vecs = [rng.standard_normal(m.n_interior) for _ in range(4)]
-    base = en.energy(scheme.State(1, *vecs), mass, stiff, p)
-    scaled = en.energy(scheme.State(1, *(scale * v for v in vecs)), mass, stiff, p)
-    assert scaled.E == pytest.approx(scale**2 * base.E, rel=1e-12)
+    base = level_row(scheme.State(1, *vecs), mass, stiff, p)
+    scaled = level_row(scheme.State(1, *(scale * v for v in vecs)), mass, stiff, p)
+    assert scaled["E"] == pytest.approx(scale**2 * base["E"], rel=1e-12)
 
 
 def test_dissipation_terms_nonpositive_and_identity_tight():
@@ -95,18 +102,14 @@ def test_dissipation_terms_nonpositive_and_identity_tight():
         m, mass, stiff, p, scheme.initial_preset("sine"),
         config=SolverConfig(rel_tol=1e-14), observer=tracker,
     )
-    assert tracker.max_identity_residual <= 1e-10 * max(tracker.records[0].E, 1.0)
+    table = tracker.table
+    assert tracker.max_identity_residual <= 1e-10 * max(table["E"][0], 1.0)
     assert tracker.is_monotone()
     # the sign structure of each summand, step by step
-    for rec in tracker.records[1:]:
-        bd = rec.dissipation
-        for name in (
-            "second_difference_u", "second_difference_v",
-            "gradient_difference_u", "gradient_difference_v",
-            "friction_u", "friction_v", "coupling_difference",
-        ):
-            assert getattr(bd, name) <= 0.0
-        assert bd.total <= 0.0
+    for row in table[1:]:
+        terms = [row[name] for name in en.DISSIPATION_FIELDS]
+        assert all(term <= 0.0 for term in terms)
+        assert sum(terms) <= 0.0
 
 
 def step_residual(mass, stiff, p, prev, cur):
@@ -114,7 +117,7 @@ def step_residual(mass, stiff, p, prev, cur):
     tracker = en.EnergyTracker(mass, stiff, p)
     tracker(prev)
     tracker(cur)
-    return tracker.records[1].identity_residual
+    return tracker.table["identity_residual"][1]
 
 
 def test_identity_residual_detects_perturbation(square2):
@@ -144,7 +147,7 @@ def test_tracker_rejects_non_consecutive_states(square2):
         tracker(scheme.State(2, np.ones(1), np.ones(1), np.ones(1), np.zeros(1)))
     # the one level that continues both is accepted
     tracker(scheme.State(2, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1)))
-    assert [r.n for r in tracker.records] == [1, 2]
+    assert tracker.table["n"].tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("eps_u,eps_v", [(0.0, 0.0), (0.5, 0.25)])
@@ -160,10 +163,11 @@ def test_dissipation_terms_match_the_two_state_oracle(eps_u, eps_v):
         tracker(state)
 
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=observe)
-    tol = 1e-13 * max(tracker.records[0].E, 1.0)
-    for old, new, rec in zip(states, states[1:], tracker.records[1:]):
+    table = tracker.table
+    tol = 1e-13 * max(table["E"][0], 1.0)
+    for old, new, row in zip(states, states[1:], table[1:]):
         for name, expected in oracles.dissipation_terms(old, new, mass, stiff, p).items():
-            assert abs(getattr(rec.dissipation, name) - expected) <= tol, (rec.n, name)
+            assert abs(row[name] - expected) <= tol, (row["n"], name)
 
 
 def test_identity_residual_is_the_solve_residual_on_the_projected_start(projected_start):
@@ -190,8 +194,8 @@ def test_identity_residual_is_the_solve_residual_on_the_projected_start(projecte
         dx = x - np.concatenate([state.u_curr, state.v_curr])
         expected.append(abs(float((b - op.matrix @ x) @ dx)))
         state = new
-    scale = max(tracker.records[0].E, 1.0)
-    residuals = [r.identity_residual for r in tracker.records[1:]]
+    scale = max(tracker.table["E"][0], 1.0)
+    residuals = tracker.table["identity_residual"][1:]
     # the solver term is far above rounding, so the match is not trivial
     assert max(residuals) > 1e-6 * scale
     for got, want in zip(residuals, expected):
@@ -235,9 +239,9 @@ def test_tracker_takes_five_products_per_block(monkeypatch):
     for state in states:
         tracker(state)
     # 10 levels in blocks of 3, 3, 3 and 1, the last taken at level M_steps
-    # before the records are read
+    # before the table is read
     assert (counted[0].products, counted[1].products) == (3 * 4, 2 * 4)
-    assert len(tracker.records) == p.M_steps
+    assert len(tracker.table) == p.M_steps
 
 
 _LYAPUNOV = en.LyapunovParams(N_weight=2.0, beta=0.5)
@@ -265,9 +269,9 @@ def test_blocked_tracker_equals_per_level_arithmetic_bitwise(monkeypatch, lyapun
         tracker(state)
 
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine-opposed"), observer=observe)
-    # repr of a float round-trips, so equal reprs are equal bits
-    assert repr(tracker.records) == repr(oracles.per_level_records(states, mass, stiff, p,
-                                                                   lyapunov))
+    # every column's bits, the first row's NaN dissipation terms included
+    expected = oracles.per_level_table(states, mass, stiff, p, lyapunov)
+    assert tracker.table.tobytes() == expected.tobytes()
 
 
 # N = 225, and N = 8281 > sparse_linalg.DOT_CHUNK, whose dots come in two pieces
@@ -293,10 +297,10 @@ def test_records_read_mid_run_are_complete_and_exact(monkeypatch):
     for state in states:
         tracker(state)
         if state.n in (2, 5, 6):  # reads that end blocks of 2, 3 and 1 levels early
-            seen[state.n] = repr(tracker.records)
-    expected = oracles.per_level_records(states, mass, stiff, p)
-    assert seen == {n: repr(expected[:n]) for n in (2, 5, 6)}
-    assert repr(tracker.records) == repr(expected)
+            seen[state.n] = tracker.table.tobytes()
+    expected = oracles.per_level_table(states, mass, stiff, p)
+    assert seen == {n: expected[:n].tobytes() for n in (2, 5, 6)}
+    assert tracker.table.tobytes() == expected.tobytes()
 
 
 def test_energy_error_surfaces_at_its_own_level(monkeypatch, square2):
@@ -310,7 +314,7 @@ def test_energy_error_surfaces_at_its_own_level(monkeypatch, square2):
     tracker(scheme.State(1, zero, one, zero, zero))
     with pytest.raises(ValueError, match="energy inf at level 2 is not finite"):
         tracker(scheme.State(2, one, np.array([1e200]), zero, zero))
-    assert [r.n for r in tracker.records] == [1]
+    assert tracker.table["n"].tolist() == [1]
 
 
 def test_tracker_layout():
@@ -319,20 +323,36 @@ def test_tracker_layout():
     p = scheme.SchemeParams(c=1, eps_u=0, eps_v=0, alpha=1, k=0.1, T=1.0)
     tracker = en.EnergyTracker(mass, stiff, p, en.LyapunovParams(2.0, 0.125))
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=tracker)
-    assert len(tracker.records) == p.M_steps
-    first = tracker.records[0]
-    assert first.dE == 0.0 and first.identity_residual == 0.0
-    assert first.dissipation is None
-    assert all(r.dissipation is not None for r in tracker.records[1:])
-    assert [r.n for r in tracker.records] == list(range(1, p.M_steps + 1))
-    assert tracker.max_identity_residual == max(r.identity_residual for r in tracker.records)
-    for i in range(1, len(tracker.records)):
-        assert tracker.records[i].dE == tracker.records[i].E - tracker.records[i - 1].E
+    table = tracker.table
+    assert len(table) == p.M_steps
+    assert table["dE"][0] == 0.0 and table["identity_residual"][0] == 0.0
+    # no step produced the first level: its dissipation terms alone are NaN
+    nan = np.isnan([table[name] for name in en.DISSIPATION_FIELDS])
+    assert nan[:, 0].all() and not nan[:, 1:].any()
+    assert table["n"].tolist() == list(range(1, p.M_steps + 1))
+    assert tracker.max_identity_residual == table["identity_residual"].max()
+    for i in range(1, len(table)):
+        assert table["dE"][i] == table["E"][i] - table["E"][i - 1]
 
     # without Lyapunov parameters the tracked value falls back to E itself
     plain = en.EnergyTracker(mass, stiff, p)
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"), observer=plain)
-    assert [r.lyapunov for r in plain.records] == [r.E for r in plain.records]
+    assert plain.table["lyapunov"].tolist() == plain.table["E"].tolist()
+
+
+def test_table_columns_have_one_owner(square2):
+    # energy.csv's header, the dissipation columns and the oracle's terms all
+    # follow the table's dtype
+    _, mass, stiff = square2
+    names = en.TABLE_DTYPE.names
+    assert cli.ENERGY_HEADER == ",".join(names[:11])
+    assert en.DISSIPATION_FIELDS == names[11:]
+    old = scheme.State(1, np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1))
+    new = scheme.State(2, np.ones(1), np.ones(1), np.zeros(1), np.zeros(1))
+    terms = oracles.dissipation_terms(old, new, mass, stiff, dyadic_params())
+    assert tuple(terms) == en.DISSIPATION_FIELDS
+    assert en.TABLE_DTYPE["n"] == np.int64
+    assert all(en.TABLE_DTYPE[name] == np.float64 for name in names[1:])
 
 
 def test_empty_tracker_says_it_observed_no_levels(square2):
@@ -342,7 +362,7 @@ def test_empty_tracker_says_it_observed_no_levels(square2):
         tracker.max_identity_residual
     with pytest.raises(ValueError, match="the tracker has observed no levels"):
         tracker.is_monotone()
-    assert tracker.records == [] and len(tracker.table) == 0
+    assert len(tracker.table) == 0
 
 
 def test_tracker_retains_under_400_bytes_per_level():
@@ -420,7 +440,7 @@ def test_dense_start_keeps_identity_at_rounding_floor_at_loose_tolerance(monkeyp
         # rel_tol from the line-search start, and this guard needs them at it
         scheme.run(m, mass, stiff, p, scheme.initial_preset("sine-opposed"), config=loose,
                    observer=tracker)
-        return tracker.max_identity_residual, tracker.records[0].E
+        return tracker.max_identity_residual, tracker.table["E"][0]
 
     residual, e0 = max_residual()
     assert residual <= 1e-13 * max(e0, 1.0)

@@ -672,7 +672,7 @@ def test_line_search_keeps_a_single_mode_run_inside_criterion_one():
     p = scheme.SchemeParams(c=3.0, eps_u=0.1, eps_v=0.1, alpha=5.0, k=5e-4, T=0.2)
     tracker = en.EnergyTracker(mass, stiff, p)
     scheme.run(m, mass, stiff, p, scheme.initial_preset("sine-opposed"), observer=tracker)
-    budget = 1e-10 * max(tracker.records[0].E, 1.0)
+    budget = 1e-10 * max(tracker.table["E"][0], 1.0)
     assert tracker.max_identity_residual <= 1e-3 * budget
 
 
