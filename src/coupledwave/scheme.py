@@ -17,19 +17,24 @@ matrix factors exactly as
 
 where Q diag(lam) Q^T is the eigendecomposition of the 2 x 2 matrix
 [[eps_u/k, -alpha], [-alpha, eps_v/k]].  A CG step rotates the right-hand
-side per vertex, solves both N x N blocks in one Jacobi-PCG, and rotates the
-solution back.  Q is orthogonal, so the stopping rule
-||b - A x|| <= rel_tol ||b|| holds on the coupled system as well.
+side per vertex, solves the two N x N blocks one after the other, each in its
+own Jacobi-PCG, and rotates the solution back.  With tau = rel_tol ||b|| over
+the whole rotated right-hand side, block 1 stops at ||r_1||^2 <= tau^2 / 2
+and block 2 at ||r_2||^2 <= tau^2 - ||r_1||^2 (``sparse_linalg.solve_spd``),
+so the stopping rule ||b - A x|| <= rel_tol ||b|| holds on the rotated system
+while each block stops at its own iteration count, and each has a budget of
+max_iter iterations (10 N when unset).  Q is orthogonal, so the rule holds
+on the coupled system as well.
 
 Every level solves the same matrix with a new right-hand side.  On a small
 system, where both N x N block inverses fit in 1 MiB together (N <=
 DENSE_START_MAX_N), the operator inverts each block once per run and CG
 starts from x0 = blockdiag(A_1^{-1}, A_2^{-1}) b.  That start is exact to
-rounding, so CG only verifies it: it computes b - A x0, applies the rel_tol
-rule and iterates only if the start falls short.  The 1 MiB bound keeps the
-memory the inverses add small next to the process's, and they come from
-numpy alone: a sparse factorization would load scipy.sparse.linalg, whose
-import alone adds about 9 MB resident.  A block that does not invert in
+rounding, so CG only verifies it: on each block it computes b_i - A_i x0_i,
+applies the block's share of the rule and iterates only if the start falls
+short.  The 1 MiB bound keeps the memory the inverses add small next to the
+process's, and they come from numpy alone: a sparse factorization would load
+scipy.sparse.linalg, whose import alone adds about 9 MB resident.  A block that does not invert in
 floating point (entries near the ends of the float range) is a ValueError.
 Larger systems start from the Galerkin projection onto span{x_n, d}, d the
 extrapolated step 2 x_n - 3 x_{n-1} + x_{n-2} (x_n - x_{n-1} over two
@@ -165,26 +170,34 @@ class BlockOperator:
     M/k^2 + eps/k M + c^2 K + alpha M and off-diagonal blocks -alpha M, so it
     is exactly symmetric and positive definite for alpha > 0 (the coupling
     contributes alpha (x_u - x_v)' M (x_u - x_v) >= 0 to the quadratic form).
-    It equals kron(Q, I) decoupled kron(Q, I)^T, where ``rotation`` is the
-    orthogonal Q of [[eps_u/k, -alpha], [-alpha, eps_v/k]] = Q diag(lam) Q^T
-    and ``decoupled`` is blockdiag(D + lam_1 M, D + lam_2 M) with
-    D = (1/k^2 + alpha) M + c^2 K.  Each block is SPD: the 2 x 2 matrix has a
-    nonnegative diagonal, so lam_min >= -alpha and every block multiplies M by
-    1/k^2 + alpha + lam_i >= 1/k^2.
+    It equals kron(Q, I) blockdiag(A_1, A_2) kron(Q, I)^T, where ``rotation``
+    is the orthogonal Q of [[eps_u/k, -alpha], [-alpha, eps_v/k]] =
+    Q diag(lam) Q^T and ``blocks`` is the pair (A_1, A_2) of N x N CSR
+    matrices A_i = D + lam_i M, D = (1/k^2 + alpha) M + c^2 K.  Each block is
+    SPD: the 2 x 2 matrix has a nonnegative diagonal, so lam_min >= -alpha
+    and every block multiplies M by 1/k^2 + alpha + lam_i >= 1/k^2.  CG solves
+    the blocks one after the other, block 1 to half of the squared target
+    (rel_tol ||b||)^2 and block 2 to what block 1 left, each within max_iter
+    iterations (10 N when unset), so the rule holds on the whole system while
+    each block stops at its own count.
 
-    ``decoupled`` holds 2 nnz(M) entries against the coupled matrix's
-    4 nnz(M).  It is built entry by entry on M's index arrays, each entry in
-    the order of scipy's sums of the scaled matrices, so ``mass`` and
-    ``stiffness`` must share one sparsity pattern (equal ``indptr`` and
-    ``indices``, explicit zeros included), as assembly gives them; a pair
-    that does not raises ValueError.  The coupled matrix is built on first
-    access only; the CG path never touches it.  The operator also owns what
-    CG reuses from solve to solve: the Jacobi preconditioner ``inv_diag``
-    (method cg) and either the dense block inverses ``inverse``
-    (N <= DENSE_START_MAX_N, method cg) or the last three rotated solutions
-    x and A x, which ``projected_guess`` starts from.  That history belongs to one chain of ``step`` calls, so
-    every run builds its own operator.  A block or a diagonal that does not
-    invert in floating point raises ValueError.
+    The blocks hold nnz(M) values each, computed entry by entry in the order
+    of scipy's sums ((1/k^2 + alpha) M + c^2 K) + lam_i M, on M's own
+    ``indices`` and ``indptr`` arrays.  So ``mass`` and ``stiffness`` must
+    share one sparsity pattern (equal ``indptr`` and ``indices``, explicit
+    zeros included), as assembly gives them; a pair that does not raises
+    ValueError.  Once the pattern is checked, the operator points the
+    stiffness matrix's ``indices`` and ``indptr`` at M's arrays too, so M, K
+    and both blocks hold one copy of the pattern; an in-place change to the
+    pattern of any of them (``sort_indices``, ``eliminate_zeros``) changes
+    all four.  The coupled matrix is built on first access only; the CG path
+    never touches it.  The operator also owns what CG reuses from solve to
+    solve: each block's Jacobi preconditioner, the pair ``inv_diag`` (method
+    cg), and either the dense block inverses ``inverse`` (N <=
+    DENSE_START_MAX_N, method cg) or the last three rotated solutions x and
+    A x, which ``projected_guess`` starts from.  That history belongs to one
+    chain of ``step`` calls, so every run builds its own operator.  A block
+    or a diagonal that does not invert in floating point raises ValueError.
     """
 
     def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams,
@@ -195,32 +208,30 @@ class BlockOperator:
         if not (mass.shape == stiffness.shape and np.array_equal(mass.indptr, stiffness.indptr)
                 and np.array_equal(mass.indices, stiffness.indices)):
             raise ValueError("the mass and stiffness matrices do not share one sparsity pattern")
-        # blockdiag(D + lam_1 M, D + lam_2 M) entry by entry on M's pattern, each
-        # entry in the order of scipy's ((1/k^2 + alpha) M + c^2 K) + lam_i M
-        self.n_field = n = mass.shape[0]
-        nnz = mass.nnz
-        data = np.empty(2 * nnz)
+        # K indexes M's arrays from here on: M, K and both blocks hold one copy
+        stiffness.indices, stiffness.indptr = mass.indices, mass.indptr
+        # D + lam_i M entry by entry on M's pattern, each entry in the order of
+        # scipy's ((1/k^2 + alpha) M + c^2 K) + lam_i M
+        self.n_field = mass.shape[0]
         # c^2 K can overflow on a fine mesh although c^2 itself is finite
         with np.errstate(over="ignore", invalid="ignore"):
-            shared = np.multiply(mass.data, 1.0 / (k * k) + alpha, out=data[:nnz])
-            shared += stiffness.data * params.c**2
-            np.add(shared, mass.data * lam[1], out=data[nnz:])
-            shared += mass.data * lam[0]
-        self.decoupled = sp.csr_matrix(
-            (data, np.concatenate([mass.indices, mass.indices + n]),
-             np.concatenate([mass.indptr, mass.indptr[1:] + nnz])),
-            shape=(2 * n, 2 * n))
-        if not np.isfinite(self.decoupled.data).all():
+            first = mass.data * (1.0 / (k * k) + alpha)
+            first += stiffness.data * params.c**2
+            second = first + mass.data * lam[1]
+            first += mass.data * lam[0]
+        if not (np.isfinite(first).all() and np.isfinite(second).all()):
             raise ValueError(f"c = {params.c!r} is out of range: the step matrix "
                              f"(1/k^2 + alpha) M + c^2 K is not finite on this mesh")
+        self.blocks = tuple(sp.csr_matrix((data, mass.indices, mass.indptr), shape=mass.shape)
+                            for data in (first, second))
         self.mass, self.params = mass, params
         self.config = config
         self._stiffness = stiffness
-        self.inverse = (_block_inverses(self.decoupled, self.n_field)
+        self.inverse = (_block_inverses(self.blocks)
                         if _dense_start(self.n_field, self.config) else None)
         if config.method == "cg":
             try:
-                self.inv_diag = jacobi_inverse(self.decoupled)
+                self.inv_diag = tuple(jacobi_inverse(block) for block in self.blocks)
             except ValueError:  # M/k^2 and c^2 K both near the smallest doubles
                 raise ValueError(f"k = {k!r} is out of range: the step matrix's diagonal "
                                  f"(M/k^2 + c^2 K, c = {params.c!r}) is too small to invert "
@@ -299,10 +310,11 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
          f_v: np.ndarray | None = None) -> State:
     """Advance one time level with the run's operator ``op``.
 
-    CG solves the decoupled system, started from ``op.dense_guess`` on a
-    small system, else from ``op.projected_guess`` (over x_n and the
-    extrapolated step), and failing that, from the extrapolation 2 x_n - x_{n-1};
-    CG's final residual r gives the recorded A x = b - r.
+    CG solves the two rotated blocks one after the other, each to its share
+    of the rule, started from ``op.dense_guess`` on a small system, else from
+    ``op.projected_guess`` (over x_n and the extrapolated step), and failing
+    that, from the extrapolation 2 x_n - x_{n-1}; CG's final residual r gives
+    the recorded A x = b - r.
     ``method = cholesky`` solves the coupled matrix.  f_u, f_v are already-assembled
     load vectors for the target level (or None for the homogeneous problem).
     """
@@ -327,7 +339,7 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
     if x0 is None:
         x0 = np.concatenate(_rotate(q.T, guess_u, guess_v))
     residual = None if dense else np.empty_like(b)
-    x = solve_spd(op.decoupled, b, op.config, x0=x0, inv_diag=op.inv_diag, residual=residual)
+    x = solve_spd(op.blocks, b, op.config, x0=x0, inv_diag=op.inv_diag, residual=residual)
     u_new, v_new = _rotate(q, x[:n], x[n:])
     new = State(state.n + 1, state.u_curr, u_new, state.v_curr, v_new)
     if not dense:  # A x = b - r from CG's final residual, with no product taken
@@ -349,8 +361,8 @@ def _dense_start(n_field: int, config: SolverConfig) -> bool:
 
 # a nonpositive pivot or an overflow raises instead of warning
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _block_inverses(decoupled: sp.csr_matrix, n: int) -> np.ndarray:
-    """The inverses of both N x N diagonal blocks of ``decoupled``, shape (2, N, N).
+def _block_inverses(blocks: tuple) -> np.ndarray:
+    """The inverses of the two N x N ``blocks``, shape (2, N, N).
 
     Each comes from the Cholesky factor L, computed in place, and the inverse
     of L, row by row: A^{-1} = L^{-T} L^{-1}.  Only matrix-vector products
@@ -358,11 +370,11 @@ def _block_inverses(decoupled: sp.csr_matrix, n: int) -> np.ndarray:
     cost more resident memory than the 2 N^2 doubles kept).  A pivot that is
     not positive or an entry that is not finite raises ValueError.
     """
+    n = blocks[0].shape[0]
     inverses = np.empty((2, n, n))
     linv = np.zeros((n, n))
-    for block, out in enumerate(inverses):
-        span = slice(block * n, (block + 1) * n)
-        a = decoupled[span, span].toarray()  # becomes L in its lower triangle
+    for block, out in zip(blocks, inverses):
+        a = block.toarray()  # becomes L in its lower triangle
         for j in range(n):
             pivot = a[j, j] - a[j, :j] @ a[j, :j]
             # NaN carries a pivot that is not positive into the check below

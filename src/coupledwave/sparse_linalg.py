@@ -14,6 +14,20 @@ CG still computes b - A x0 and applies the stopping rule, so such a solve
 returns after 0 iterations and a start that falls short is iterated on, with
 every failure below still raised.
 
+A block-diagonal system blockdiag(A_1, A_2), the scheme's rotated step, comes
+to ``solve_spd`` as the pair of its blocks.  CG solves one block after the
+other, each to an absolute ``target`` on its own residual, which
+``cg_jacobi`` takes in place of rel_tol ||b_i||: with tau = rel_tol ||b||
+over the whole right-hand side, A_1 until ||r_1||^2 <= tau^2 / 2, then A_2
+until ||r_2||^2 <= tau^2 - ||r_1||^2.  So ||b - A x|| <= rel_tol ||b|| holds
+on the whole system, as far as CG's updated residuals are exact, while each
+block stops at its own iteration count: one CG over both blocks kept the
+faster block iterating until the slower one had converged.  The target is an
+argument of the call, not a setting: ``SolverConfig`` keeps rel_tol, which a
+failure names, and each block has a budget of max_iter iterations (10 times
+its size when unset).  The norm of b that sets tau is also the check that b
+is finite.
+
 Every dot product a run takes is ``dot``: one BLAS ddot per piece of at most
 DOT_CHUNK entries.  OpenBLAS threads a ddot of more than 10000 entries, and
 its worker then spins for about 0.1 s (CG's dots at 2N = 32258 kept a second
@@ -90,46 +104,71 @@ def with_context(exc: SolverFailure | ValueError, context: str) -> SolverFailure
     return ValueError(message)
 
 
+# the norm of an overflowing b fails the check below instead of warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve_spd(A, b: np.ndarray, config: SolverConfig = SolverConfig(),
-              x0: np.ndarray | None = None, inv_diag: np.ndarray | None = None,
+              x0: np.ndarray | None = None, inv_diag: np.ndarray | tuple | None = None,
               residual: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A.
+    """Solve A x = b for symmetric positive definite A, one matrix or a pair of blocks.
 
-    Stops when ||b - A x|| <= rel_tol * ||b||.  A zero right-hand side
-    returns the exact zero vector without iterating.  CG starts from x0
-    when given (zero otherwise) and preconditions with ``inv_diag`` when
-    given (``jacobi_inverse(A)`` otherwise), and writes its final residual
-    b - A x into ``residual`` when given (0 for a zero b); the Cholesky route
-    ignores all three.
+    A pair (A_1, A_2) of square matrices stands for blockdiag(A_1, A_2), and
+    ``inv_diag`` is then a pair as well.  Stops when
+    ||b - A x|| <= rel_tol * ||b||; CG solves a pair block by block, each to
+    its share of that target and with a budget of its own (see the module
+    docstring).  A zero right-hand side returns the exact zero vector
+    without iterating.  CG starts from x0 when given (zero otherwise) and
+    preconditions with ``inv_diag`` when given (``jacobi_inverse``
+    otherwise), and writes its final residual b - A x into ``residual`` when
+    given (0 for a zero b); the Cholesky route ignores all three and factors
+    the whole matrix.
 
     Raises
     ------
     ValueError
-        On shape mismatch, or when b, x0 or the diagonal of A is not finite.
+        On shape mismatch, or when b (or its norm), x0 or the diagonal of A
+        is not finite.
     SolverFailure
-        When CG exceeds its iteration budget (carries the last residual).
+        When CG exceeds its iteration budget on a block (carries its last
+        residual).
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if A.shape != (n, n) or b.ndim != 1:
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    if not b.any():
+    pair = isinstance(A, tuple)
+    shape, m = ((A[0].shape, A[1].shape), A[0].shape[0]) if pair else (A.shape, n)
+    if shape != (((m, m), (n - m, n - m)) if pair else (n, n)) or b.ndim != 1:
+        raise ValueError(f"shape mismatch: A {shape}, b {b.shape}")
+    size = _norm(b)
+    if size == 0.0:
         if residual is not None:
             residual.fill(0.0)
         return np.zeros(n)
-    if not np.isfinite(b).all():
+    if not size < math.inf:
         raise ValueError("the right-hand side is not finite (an input or source overflowed)")
     if x0 is not None and not np.isfinite(x0).all():
         raise ValueError("the initial guess is not finite")
     if config.method == "cholesky":
         import scipy.linalg
 
-        dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+        matrix = sp.block_diag(A) if pair else A
+        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
         _check_diagonal(np.diagonal(dense))
         factor = scipy.linalg.cho_factor(dense, lower=True)
         return scipy.linalg.cho_solve(factor, b)
-    x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0, inv_diag, residual)
-    return x
+    tau = config.rel_tol * size
+    if not pair:
+        x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0, inv_diag, residual,
+                            tau)
+        return x
+    # block 1 until ||r_1||^2 <= tau^2 / 2, block 2 until ||r_2||^2 <= tau^2 - ||r_1||^2
+    (a_1, a_2), (d_1, d_2) = A, inv_diag or (None, None)
+    x0 = np.zeros(n) if x0 is None else x0
+    r = np.empty(n) if residual is None else residual
+    x_1, _, res = cg_jacobi(a_1, b[:m], config.rel_tol, config.max_iter or 10 * m, x0[:m], d_1,
+                            r[:m], tau * math.sqrt(0.5))
+    spent = (res / tau) ** 2 if tau > 0.0 else 0.0
+    x_2, _, _ = cg_jacobi(a_2, b[m:], config.rel_tol, config.max_iter or 10 * (n - m), x0[m:],
+                          d_2, r[m:], tau * math.sqrt(1.0 - spent))
+    return np.concatenate([x_1, x_2])
 
 
 def jacobi_inverse(A) -> np.ndarray:
@@ -153,12 +192,14 @@ def jacobi_inverse(A) -> np.ndarray:
 # overflow inside CG is detected and reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | None = None,
-              inv_diag: np.ndarray | None = None, residual: np.ndarray | None = None):
+              inv_diag: np.ndarray | None = None, residual: np.ndarray | None = None,
+              target: float | None = None):
     """Jacobi preconditioned conjugate gradient from x0 (zero when omitted).
 
     Returns (x, iterations, ||r||) for r = b - A x as CG updates it, in the
-    array ``residual`` when one is given; a start whose ||r|| already meets
-    rel_tol * ||b|| returns after 0 iterations.  ``inv_diag`` is the
+    array ``residual`` when one is given.  CG stops once ||r|| meets the
+    absolute ``target``, rel_tol * ||b|| when omitted, so a start that
+    already meets it returns after 0 iterations.  ``inv_diag`` is the
     preconditioner ``jacobi_inverse(A)``, computed here when omitted, so a
     caller solving with one matrix many times passes it in.  Norms are safe
     for entries beyond the square root of the float range; an iterate whose
@@ -168,7 +209,8 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
     if inv_diag is None:
         inv_diag = jacobi_inverse(A)
 
-    target = rel_tol * _norm(b)
+    if target is None:
+        target = rel_tol * _norm(b)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = np.subtract(b, A @ x, out=residual)
     res = _norm(r)

@@ -565,6 +565,23 @@ def test_exit_code_solver_failure(tmp_path, capsys, projected_start):
     assert "solver failed" in capsys.readouterr().err
 
 
+def test_exit_code_solver_failure_in_the_second_block(tmp_path, capsys):
+    # on the first step (N = 529, projected route) block 1 converges in 7
+    # iterations and block 2 needs 9, so a budget of 8 fails in block 2 only
+    cfg = write_config(
+        tmp_path,
+        "mode = simulate\ndomain = square\nn_per_side = 24\nk = 0.01\nT = 0.05\n"
+        "eps_u = 0.5\neps_v = 0.25\ninitial = sine\nmax_iter = 8\n",
+    )
+    out = tmp_path / "o"
+    assert run_cli(["--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed: advancing to level 2 (t = 0.02) failed: "
+                          "conjugate gradient did not reach 1e-12 relative residual in 8 "
+                          "iterations")
+    assert not out.exists()
+
+
 def test_exit_code_empty_system(tmp_path, capsys):
     cfg = write_config(tmp_path, "mode = simulate\nn_per_side = 1\nk = 0.1\nT = 0.5\n")
     assert run_cli(["--config", cfg]) == 1

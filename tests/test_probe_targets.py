@@ -61,3 +61,30 @@ def test_observers_keep_the_modules_the_probe_names_spans_after():
     observer = mms._ErrorObserver(mass, stiffness, case, scheme.sine_mode(m.vertices), params)
     assert type(tracker).__module__.rsplit(".", 1)[-1] == "energy"
     assert type(observer).__module__.rsplit(".", 1)[-1] == "mms"
+
+
+def test_cg_calls_carry_the_sizes_the_probe_counts_bytes_from(monkeypatch):
+    # the probe's per-layer counts (iterations, SpMV bytes) read the first
+    # argument of every cg_jacobi call: its shape, nnz and index arrays; each
+    # call solves one N x N block, on the projected and the dense route
+    from coupledwave import assembly, mesh, scheme, sparse_linalg
+
+    matrices = []
+    cg = sparse_linalg.cg_jacobi
+
+    def recording(A, *args, **kwargs):
+        matrices.append(A)
+        return cg(A, *args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "cg_jacobi", recording)
+    params = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.05, T=0.25)
+    for n_side, route in ((20, "projected"), (6, "dense inverse")):
+        m = mesh.generate_unit_square(n_side)
+        n = (n_side - 1) ** 2
+        assert scheme.solver_start(n, sparse_linalg.SolverConfig()).startswith(route)
+        matrices.clear()
+        scheme.run(m, assembly.assemble_mass(m), assembly.assemble_stiffness(m), params,
+                   scheme.initial_preset("sine"))
+        assert len(matrices) == 2 * (params.M_steps - 1)
+        for A in matrices:
+            assert A.shape == (n, n) and A.nnz > 0 and A.indices.itemsize == 4

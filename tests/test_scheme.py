@@ -27,6 +27,11 @@ def matrices(m):
     return asm.assemble_mass(m), asm.assemble_stiffness(m)
 
 
+def decoupled(op):
+    """The rotated system blockdiag(A_1, A_2) of ``op`` as one 2N x 2N matrix."""
+    return sp.block_diag(op.blocks, format="csr")
+
+
 def test_params_validation():
     with pytest.raises(ValueError, match="wave speed"):
         params_for(c=0.0)
@@ -67,7 +72,7 @@ def test_rotated_decoupled_matrix_equals_coupled_matrix(rng, eps_u, eps_v):
     for _ in range(10):
         x = rng.standard_normal(op.matrix.shape[0])
         want = op.matrix @ x
-        got = rotate @ (op.decoupled @ (rotate.T @ x))
+        got = rotate @ (decoupled(op) @ (rotate.T @ x))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -76,9 +81,9 @@ def test_decoupled_blocks_symmetric_with_positive_diagonal(eps_u, eps_v):
     m = msh.generate_unit_square(8)
     mass, stiff = matrices(m)
     op = scheme.BlockOperator(mass, stiff, params_for(k=0.01, T=2.0, eps_u=eps_u, eps_v=eps_v))
-    n = mass.shape[0]
-    assert op.decoupled[:n, n:].nnz == 0 and op.decoupled[n:, :n].nnz == 0
-    for block in (op.decoupled[:n, :n], op.decoupled[n:, n:]):
+    n, A = mass.shape[0], decoupled(op)
+    assert A[:n, n:].nnz == 0 and A[n:, :n].nnz == 0
+    for block in op.blocks:
         assert (block - block.T).nnz == 0
         assert (block.diagonal() > 0.0).all()
 
@@ -94,12 +99,11 @@ def test_decoupled_is_scipys_block_diagonal_bitwise(kind):
     op = scheme.BlockOperator(mass, stiff, p)
     lam, _ = np.linalg.eigh([[p.eps_u / p.k, -p.alpha], [-p.alpha, p.eps_v / p.k]])
     shared = (1.0 / (p.k * p.k) + p.alpha) * mass + p.c**2 * stiff
-    want = sp.block_diag([shared + lam_i * mass for lam_i in lam], format="csr")
-    got = op.decoupled
-    assert type(got) is type(want) and got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for got, want in zip(op.blocks, [shared + lam_i * mass for lam_i in lam], strict=True):
+        assert type(got) is type(want) and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_block_operator_rejects_matrices_of_two_patterns():
@@ -108,6 +112,20 @@ def test_block_operator_rejects_matrices_of_two_patterns():
     assert (mass.nnz, stiff.nnz) == (289, 217)
     with pytest.raises(ValueError, match="do not share one sparsity pattern"):
         scheme.BlockOperator(mass, stiff, params_for(k=0.01, T=2.0))
+
+
+def test_blocks_and_stiffness_index_the_mass_matrixs_arrays():
+    # one copy of the sparsity pattern: K is re-pointed at M's arrays, both
+    # blocks are built on them, and K's products are unchanged
+    m = oracles.jittered_square(8, seed=3)
+    mass, stiff = matrices(m)
+    x = np.random.default_rng(0).standard_normal(mass.shape[0])
+    before = stiff @ x
+    op = scheme.BlockOperator(mass, stiff, params_for(k=0.01, T=2.0, eps_u=0.5, eps_v=0.25))
+    for matrix in (stiff, *op.blocks):
+        assert np.shares_memory(matrix.indices, mass.indices)
+        assert np.shares_memory(matrix.indptr, mass.indptr)
+    assert (stiff @ x).tobytes() == before.tobytes()
 
 
 def test_block_operator_build_peaks_under_one_and_a_half_times_what_it_keeps():
@@ -126,6 +144,18 @@ def test_block_operator_rejects_overflowing_stiffness():
         scheme.BlockOperator(*matrices(m), p)
 
 
+def coupled_residual(op, state, new):
+    """(||b - A x||, ||b||) of the step from ``state`` to ``new`` on the coupled matrix."""
+    p, mass = op.params, op.mass
+    b = np.concatenate([
+        mass @ ((2.0 * s_curr - s_prev) / p.k**2 + (eps / p.k) * s_curr)
+        for s_prev, s_curr, eps in ((state.u_prev, state.u_curr, p.eps_u),
+                                    (state.v_prev, state.v_curr, p.eps_v))
+    ])
+    x = np.concatenate([new.u_curr, new.v_curr])
+    return np.linalg.norm(b - op.matrix @ x), np.linalg.norm(b)
+
+
 def test_warm_started_step_meets_rule_on_coupled_matrix():
     m = msh.generate_unit_square(6)
     p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
@@ -134,14 +164,34 @@ def test_warm_started_step_meets_rule_on_coupled_matrix():
     state = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
     for _ in range(4):
         new = scheme.step(state, op)
-        b = np.concatenate([
-            mass @ ((2.0 * s_curr - s_prev) / p.k**2 + (eps / p.k) * s_curr)
-            for s_prev, s_curr, eps in ((state.u_prev, state.u_curr, p.eps_u),
-                                        (state.v_prev, state.v_curr, p.eps_v))
-        ])
-        x = np.concatenate([new.u_curr, new.v_curr])
-        assert np.linalg.norm(b - op.matrix @ x) <= 1e-8 * np.linalg.norm(b)
+        residual, b_norm = coupled_residual(op, state, new)
+        assert residual <= 1e-8 * b_norm
         state = new
+
+
+def test_block_solves_keep_the_coupled_rule_at_their_own_counts(monkeypatch):
+    # block 1 stops at ||r_1||^2 <= tau^2 / 2 and block 2 at tau^2 - ||r_1||^2,
+    # so the coupled rule holds although the blocks take different counts: the
+    # worst step reads 0.993 tau, where stopping each block at tau read 1.106 tau
+    m = msh.generate_unit_square(24)
+    p = params_for(k=0.01, T=1.0, eps_u=0.5, eps_v=0.25)
+    mass, stiff = matrices(m)
+    op = scheme.BlockOperator(mass, stiff, p)
+    assert op.inverse is None and op.config.rel_tol == 1e-12
+    iterations = counting_iterations(monkeypatch)
+    state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
+    for _ in range(p.M_steps - 1):
+        new = scheme.step(state, op)
+        residual, b_norm = coupled_residual(op, state, new)
+        assert residual <= 1e-12 * b_norm
+        state = new
+    first, second = iterations[0::2], iterations[1::2]
+    assert (first[0], second[0]) == (7, 9) and sum(first) < sum(second)
+    # a budget that block 1 meets on the first step but block 2 does not
+    with pytest.raises(SolverFailure, match=r"^advancing to level 2 \(t = 0.02\) failed: "
+                                            r"conjugate gradient .* in 8 iterations"):
+        scheme.run(m, mass, stiff, p, scheme.initial_preset("sine"),
+                   config=SolverConfig(max_iter=8))
 
 
 def test_cg_and_cholesky_steps_agree():
@@ -324,11 +374,11 @@ def test_projected_guess_is_no_worse_than_extrapolation(monkeypatch, projected_s
     for state, (b, x0, _) in zip(states, calls):
         extrapolated = np.concatenate(scheme._rotate(
             q.T, 2.0 * state.u_curr - state.u_prev, 2.0 * state.v_curr - state.v_prev))
-        exact = solve_spd(op.decoupled, b, SolverConfig(method="cholesky"))
+        exact = solve_spd(op.blocks, b, SolverConfig(method="cholesky"))
 
         def a_error(x):
             e = x - exact
-            return float(e @ (op.decoupled @ e))
+            return float(e @ (decoupled(op) @ e))
 
         assert a_error(x0) <= a_error(extrapolated)
         projected += not np.array_equal(x0, extrapolated)
@@ -351,7 +401,7 @@ def test_rest_state_never_builds_a_nan_guess(monkeypatch, projected_start):
     # every recorded A x is the zero right-hand side's r = 0
     assert len(op._history) == 3 and not any(ax.any() for _, ax in op._history)
     # G is zero here, so the projection declines, and d . A d = 0 stops the line search
-    assert op.projected_guess(state, np.ones(op.decoupled.shape[0])) is None
+    assert op.projected_guess(state, np.ones(2 * op.n_field)) is None
 
 
 @pytest.mark.parametrize("overflow", ["gram", "guess", "line"])
@@ -364,19 +414,20 @@ def test_projection_falls_back_on_overflow(overflow):
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=0.6)
     op = scheme.BlockOperator(*matrices(m), p)
-    n = op.decoupled.shape[0]
+    A = decoupled(op)
+    n = A.shape[0]
     rng = np.random.default_rng(0)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
     older = rng.standard_normal(n)
     newer = older + 1e-4 * rng.standard_normal(n)
-    b = 1e305 * (op.decoupled @ rng.standard_normal(n))
+    b = 1e305 * (A @ rng.standard_normal(n))
     history = (older, newer)
     if overflow == "gram":
         history, b = (1e200 * older, -0.5e200 * older), np.ones(n)
     elif overflow == "line":
         history = (older, older + 1e-8 * newer, older + 2e-8 * newer)
     for x in history:
-        op.record(x, op.decoupled @ x, state)
+        op.record(x, A @ x, state)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert op.projected_guess(state, b) is None
@@ -388,17 +439,19 @@ def decaying_history(op, state, count):
     One decaying direction, with an offset small enough that d stays within
     an A-angle of about 1e-4 of x_n, so the projection declines.
     """
-    x, z = np.random.default_rng(2).standard_normal((2, op.decoupled.shape[0]))
+    A = decoupled(op)
+    x, z = np.random.default_rng(2).standard_normal((2, A.shape[0]))
     for j in range(count):
         v = 0.9**j * x + 1e-6 * j * j * z
-        op.record(v, op.decoupled @ v, state)
+        op.record(v, A @ v, state)
     return [v for v, _ in op._history]
 
 
 def next_right_hand_side(op, xs):
     """A x for an x that continues the recorded decay, off its line by 1e-9."""
-    w = np.random.default_rng(3).standard_normal(op.decoupled.shape[0])
-    return op.decoupled @ (0.9 * xs[0] + 1e-9 * w)
+    A = decoupled(op)
+    w = np.random.default_rng(3).standard_normal(A.shape[0])
+    return A @ (0.9 * xs[0] + 1e-9 * w)
 
 
 def gram_declines(A, x, d):
@@ -409,7 +462,8 @@ def gram_declines(A, x, d):
 
 def line_search_step(op, xs, d, b):
     """t d with b - A (x_n + t d) orthogonal to d, from explicit products."""
-    return (d @ (b - op.decoupled @ xs[0])) / (d @ (op.decoupled @ d)) * d
+    A = decoupled(op)
+    return (d @ (b - A @ xs[0])) / (d @ (A @ d)) * d
 
 
 def assert_line_search(op, xs, d, b, x0):
@@ -418,7 +472,7 @@ def assert_line_search(op, xs, d, b, x0):
     step = line_search_step(op, xs, d, b)
     np.testing.assert_allclose(x0 - xs[0], step, rtol=0, atol=1e-10 * np.abs(step).max())
     # the start's residual is orthogonal to d at the rounding level
-    assert abs(d @ (b - op.decoupled @ x0)) <= 1e-14 * np.linalg.norm(d) * np.linalg.norm(b)
+    assert abs(d @ (b - decoupled(op) @ x0)) <= 1e-14 * np.linalg.norm(d) * np.linalg.norm(b)
 
 
 def test_projection_declines_nearly_parallel_solutions():
@@ -431,7 +485,7 @@ def test_projection_declines_nearly_parallel_solutions():
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
     xs = decaying_history(op, state, 2)
     d = xs[0] - xs[1]
-    assert gram_declines(op.decoupled, xs[0], d)
+    assert gram_declines(decoupled(op), xs[0], d)
     b = next_right_hand_side(op, xs)
     assert_line_search(op, xs, d, b, op.projected_guess(state, b))
 
@@ -444,7 +498,7 @@ def test_line_search_takes_the_second_order_step_over_three_solves():
     xs = decaying_history(op, state, 4)  # the oldest of four drops out
     assert len(xs) == 3
     d = 2.0 * xs[0] - 3.0 * xs[1] + xs[2]
-    assert gram_declines(op.decoupled, xs[0], d)
+    assert gram_declines(decoupled(op), xs[0], d)
     b = next_right_hand_side(op, xs)
     x0 = op.projected_guess(state, b)
     assert_line_search(op, xs, d, b, x0)
@@ -459,7 +513,7 @@ def test_projection_over_two_solves_spans_the_last_two_solutions():
     m = msh.generate_unit_square(4)
     p = params_for(k=0.1, T=0.6)
     op = scheme.BlockOperator(*matrices(m), p)
-    A = op.decoupled
+    A = decoupled(op)
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
     rng = np.random.default_rng(4)
     older = rng.standard_normal(A.shape[0])
@@ -480,7 +534,7 @@ def test_projection_is_no_worse_than_line_search_or_quadratic_extrapolation(
     m = oracles.jittered_square(10, seed=3)
     p = params_for(k=0.02, T=0.4, eps_u=0.5, eps_v=0.25)
     op = scheme.BlockOperator(*matrices(m), p, SolverConfig(rel_tol=1e-14))
-    A = op.decoupled
+    A = decoupled(op)
     starts = []
     projected_guess = scheme.BlockOperator.projected_guess
 
@@ -519,8 +573,9 @@ def test_recorded_product_is_the_operator_applied_to_the_solution(monkeypatch, p
     for _ in range(3):
         state = scheme.step(state, op)
     assert len(op._history) == 3
+    A = decoupled(op)
     for (b, _, _), (x, ax) in zip(reversed(calls), op._history):
-        assert np.linalg.norm(ax - op.decoupled @ x) <= 1e-14 * np.linalg.norm(b)
+        assert np.linalg.norm(ax - A @ x) <= 1e-14 * np.linalg.norm(b)
 
 
 def test_projection_applies_only_to_the_state_it_recorded(projected_start):
@@ -530,7 +585,7 @@ def test_projection_applies_only_to_the_state_it_recorded(projected_start):
     state = scheme.initialize(m, p, *scheme.initial_preset("sine"))
     for _ in range(3):
         state = scheme.step(state, op)
-    b = np.ones(op.decoupled.shape[0])
+    b = np.ones(2 * op.n_field)
     assert len(op._history) == 3 and op.projected_guess(state, b) is not None
     copy = scheme.State(state.n, state.u_prev, state.u_curr, state.v_prev, state.v_curr)
     assert op.projected_guess(copy, b) is None
@@ -561,15 +616,16 @@ def test_inverse_diagonal_computed_once_per_run(monkeypatch):
         inverses.append(jacobi_inverse(A))
         return inverses[-1]
 
-    # the operator computes it as it is built, and every solve reuses it
+    # the operator computes one per block as it is built, and every solve reuses them
     monkeypatch.setattr(scheme, "jacobi_inverse", counting)
     scheme.run(m, *matrices(m), p, scheme.initial_preset("sine"))
     assert len(calls) == p.M_steps - 1
-    assert len(inverses) == 1 and all(c[2] is inverses[0] for c in calls)
+    assert len(inverses) == 2 and all(c[2][0] is inverses[0] and c[2][1] is inverses[1]
+                                      for c in calls)
 
 
 def counting_iterations(monkeypatch):
-    """Record the iteration count of every CG solve."""
+    """Record the iteration count of every CG solve, two per step: block 1, then block 2."""
     iterations = []
     cg = sparse_linalg.cg_jacobi
 
@@ -599,8 +655,8 @@ def test_dense_start_matches_cholesky_without_iterating(monkeypatch):
         np.testing.assert_allclose(new.u_curr, expected.u_curr, rtol=0, atol=1e-13)
         np.testing.assert_allclose(new.v_curr, expected.v_curr, rtol=0, atol=1e-13)
         state = new
-    # CG computed b - A x0 on every solve and found nothing to do
-    assert iterations == [0] * (p.M_steps - 1)
+    # CG computed b - A x0 on both blocks of every solve and found nothing to do
+    assert iterations == [0] * (2 * (p.M_steps - 1))
     assert op._history == []
 
 
@@ -688,8 +744,8 @@ def test_line_search_start_beats_extrapolation_where_the_projection_declines(mon
         if len(op._history) == 3:
             (x1, _), (x2, _), (x3, _) = op._history
             d = 2.0 * x1 - 3.0 * x2 + x3
-            if gram_declines(op.decoupled, x1, d):
-                declined.append((op.decoupled, b, x0, d, 2.0 * x1 - x2))
+            if gram_declines(decoupled(op), x1, d):
+                declined.append((decoupled(op), b, x0, d, 2.0 * x1 - x2))
         return x0
 
     monkeypatch.setattr(scheme.BlockOperator, "projected_guess", spy)
@@ -711,17 +767,18 @@ def test_line_search_start_beats_extrapolation_where_the_projection_declines(mon
 
 @pytest.mark.parametrize("route", ["projection", "line-search"])
 def test_projected_start_keeps_cg_iterations_down(monkeypatch, route):
-    # total CG iterations with the start onto span{x_n, d}; the earlier start
-    # (a projection over x_n, x_{n-1} with a separate line search) took 677
-    # and 1067
+    # total block products (CG iterations over both blocks) with the start onto
+    # span{x_n, d}; one CG over both blocks took 617 and 1067 iterations of two
+    # products each, and the earlier start (a projection over x_n, x_{n-1} with
+    # a separate line search) 677 and 1067
     iterations = counting_iterations(monkeypatch)
     if route == "projection":
-        p, bound = params_for(k=0.01, T=1.0, eps_u=0.5, eps_v=0.25), 617
+        p, bound = params_for(k=0.01, T=1.0, eps_u=0.5, eps_v=0.25), 1234
         m = msh.generate_unit_square(24)
         scheme.run(m, *matrices(m), p, scheme.initial_preset("sine-opposed"))
     else:
-        p, bound = params_for(k=0.005, T=1.0, eps_u=0.5, eps_v=0.25), 1067
+        p, bound = params_for(k=0.005, T=1.0, eps_u=0.5, eps_v=0.25), 2134
         mms.measure_error(mms.build_case("separable-decay-1d", p),
                           msh.generate_unit_interval(512), p)
-    assert len(iterations) == p.M_steps - 1
+    assert len(iterations) == 2 * (p.M_steps - 1)
     assert sum(iterations) <= bound
