@@ -42,15 +42,6 @@ DISSIPATION_FIELDS = ("second_difference_u", "second_difference_v", "gradient_di
                       "gradient_difference_v", "friction_u", "friction_v", "coupling_difference")
 TABLE_DTYPE = np.dtype([(name, np.int64 if name == "n" else np.float64)
                         for name in ENERGY_FIELDS + DISSIPATION_FIELDS])
-# the parts of energy_terms' five terms, and the dissipation terms that are
-# differences of those terms, in the same order
-_PARTS = ENERGY_FIELDS[3:8]
-_DIFFERENCES = DISSIPATION_FIELDS[:4] + DISSIPATION_FIELDS[6:]
-# the values a block of rows is made from, and for each table column the one
-# it takes; columns not among them are filled when the table is read
-_BLOCK_VALUES = ("E", *_PARTS, "lyapunov", *_DIFFERENCES)
-_SOURCES = [_BLOCK_VALUES.index(name) if name in _BLOCK_VALUES else 0
-            for name in TABLE_DTYPE.names]
 
 
 @dataclass(frozen=True)
@@ -136,13 +127,13 @@ class EnergyTracker:
     which no step produced, has dE and identity_residual 0.0 and NaN
     dissipation terms.  The lyapunov column is E unless Lyapunov parameters
     are supplied.  The tracker buffers the states it
-    observes and turns a block of levels into rows at once: five sparse
-    products per block (``energy_terms``), E and the Lyapunov value, and the
-    dots of the step's five difference terms, from row differences with the
-    previous block's last level carried over.  A block ends when it is full,
-    at level ``params.M_steps``, and when the table is read.  The read fills
-    the remaining columns (t, dE, the residual and the dissipation terms) of
-    every row since the last read by array operations.  A non-finite energy
+    observes and turns a block of levels into complete rows at once: five
+    sparse products per block (``energy_terms``), then every column by array
+    operations, the step's five difference terms from row differences with
+    the previous block's last level carried over.  A block
+    ends when it is full, at level ``params.M_steps``, and when the table is
+    read; its rows are complete when it ends and are not written again, so a
+    read only ends the pending block.  A non-finite energy
     or Lyapunov value raises ValueError naming its level, the rows before it
     kept; a level whose values are not certainly finite ends its block at
     once, so no later step's error comes first.
@@ -154,7 +145,6 @@ class EnergyTracker:
         self.params = params
         self.lyapunov_params = lyapunov_params
         self._blocks: list = []  # the table's rows as (rows, 18) arrays, a block at a time
-        self._filled = 0  # the rows whose every column is filled
         self._pending: list = []  # the states observed since the last block
         self._last = None  # the last state observed
         self._carry = None  # the five (weight, a, P a) of the last block's last level
@@ -210,16 +200,28 @@ class EnergyTracker:
             # M is symmetric, so the cross term du.(M u) + dv.(M v) = u.(M du) + v.(M dv)
             cross = dot(fields[1], terms[0][2]) + dot(fields[3], terms[1][2])
             lyap = lp.N_weight * E + lp.beta * cross
-        # the five terms on the step's increments; the run's first level has
-        # no step, and stands in for its own predecessor
+        # the five terms on the step's increments, the run's first level
+        # standing in for its own predecessor, then friction from the new
+        # kinetic parts; each column repeats a level's scalar arithmetic
         carry = self._carry or [(weight, a[:1], pa[:1]) for weight, a, pa in terms]
-        steps = [dot(_increments(a, a_old), _increments(pa, pa_old))
-                 for (_, a, pa), (_, a_old, pa_old) in zip(terms, carry)]
+        dissipation = [(-0.5 * weight) * dot(_increments(a, a_old), _increments(pa, pa_old))
+                       for (weight, a, pa), (_, a_old, pa_old) in zip(terms, carry)]
+        dissipation[4:4] = [(-2.0 * p.eps_u * p.k) * parts[0], (-2.0 * p.eps_v * p.k) * parts[1]]
         # the last level's rows, not the block they are views of
         self._carry = terms if len(pending) == 1 else [
             (weight, a[-1:].copy(), pa[-1:].copy()) for weight, a, pa in terms]
-        block = np.array([E, *parts, lyap, *steps]).take(_SOURCES, axis=0).T.copy()
-        block.view(np.int64)[:, 0] = [state.n for state in pending]
+        dE = _increments(E, self._blocks[-1][-1:, 2] if self._blocks else E[:1])  # E is column 2
+        residual = abs(dE - sum(dissipation))  # sums run from the left
+        if not self._blocks:  # the run's first level: no step, nothing dissipated
+            residual[0] = 0.0
+            for column in dissipation:
+                column[0] = math.nan
+        n = np.array([state.n for state in pending])
+        block = np.empty((len(pending), len(TABLE_DTYPE.names)))
+        rows = block.view(TABLE_DTYPE)[:, 0]
+        for name, column in zip(TABLE_DTYPE.names, (n, n * p.k, E, *parts, dE, residual, lyap,
+                                                    *dissipation)):
+            rows[name] = column
         finite = [math.isfinite(x) for x in lyap.tolist()]  # lyap is not finite where E is not
         if all(finite):
             self._blocks.append(block)
@@ -230,43 +232,16 @@ class EnergyTracker:
         _finite("energy", float(E[stop]), pending[stop].n)
         _finite("Lyapunov value", float(lyap[stop]), pending[stop].n)
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def _fill(self, table: np.ndarray) -> None:
-        """Fill t, dE, the residual and the dissipation terms of the rows
-        from ``self._filled`` on, whose difference columns hold the dots of
-        the step's five difference terms.  Each column repeats a level's
-        scalar arithmetic: sums run from the left."""
-        p, start = self.params, self._filled
-        rows = table[start:]
-        rows["t"] = rows["n"] * p.k
-        # the weights of energy_terms' five terms, which the carry keeps
-        dissipation = [(-0.5 * weight) * rows[name]
-                       for (weight, _, _), name in zip(self._carry, _DIFFERENCES)]
-        # friction from the new kinetic parts
-        dissipation[4:4] = [(-2.0 * p.eps_u * p.k) * rows["kinetic_u"],
-                            (-2.0 * p.eps_v * p.k) * rows["kinetic_v"]]
-        for name, column in zip(DISSIPATION_FIELDS, dissipation):
-            rows[name] = column
-        E = rows["E"]
-        rows["dE"] = dE = _increments(E, table["E"][start - 1:start] if start else E[:1])
-        rows["identity_residual"] = abs(dE - sum(dissipation))
-        if not start:  # the run's first level: no step, nothing dissipated
-            rows["identity_residual"][0] = 0.0
-            for name in DISSIPATION_FIELDS:
-                rows[name][0] = math.nan
-        self._filled = len(table)
-
     @property
     def table(self) -> np.ndarray:
-        """The table as a read-only structured array of TABLE_DTYPE, one row
-        per level observed; reading it ends the pending block."""
+        """The table as a read-only structured array of TABLE_DTYPE, one
+        complete row per level observed; reading it ends the pending block
+        and computes nothing else."""
         self._flush()
         if len(self._blocks) > 1:
             self._blocks = [np.concatenate(self._blocks)]
         rows = self._blocks[0] if self._blocks else np.empty((0, len(TABLE_DTYPE.names)))
         table = rows.view(TABLE_DTYPE)[:, 0]
-        if self._filled < len(table):
-            self._fill(table)
         table.flags.writeable = False
         return table
 

@@ -18,13 +18,11 @@ matrix factors exactly as
 where Q diag(lam) Q^T is the eigendecomposition of the 2 x 2 matrix
 [[eps_u/k, -alpha], [-alpha, eps_v/k]].  A CG step rotates the right-hand
 side per vertex, solves the two N x N blocks one after the other, each in its
-own Jacobi-PCG, and rotates the solution back.  With tau = rel_tol ||b|| over
-the whole rotated right-hand side, block 1 stops at ||r_1||^2 <= tau^2 / 2
-and block 2 at ||r_2||^2 <= tau^2 - ||r_1||^2 (``sparse_linalg.solve_spd``),
-so the stopping rule ||b - A x|| <= rel_tol ||b|| holds on the rotated system
-while each block stops at its own iteration count, and each has a budget of
-max_iter iterations (10 N when unset).  Q is orthogonal, so the rule holds
-on the coupled system as well.
+own Jacobi-PCG to its share of the stopping rule ||b - A x|| <= rel_tol ||b||
+(``sparse_linalg.solve_spd`` states the split), and rotates the solution
+back.  So the rule holds on the rotated system while each block stops at its
+own iteration count, and each has a budget of max_iter iterations (10 N when
+unset).  Q is orthogonal, so the rule holds on the coupled system as well.
 
 Every level solves the same matrix with a new right-hand side.  On a small
 system, where both N x N block inverses fit in 1 MiB together (N <=
@@ -176,10 +174,10 @@ class BlockOperator:
     matrices A_i = D + lam_i M, D = (1/k^2 + alpha) M + c^2 K.  Each block is
     SPD: the 2 x 2 matrix has a nonnegative diagonal, so lam_min >= -alpha
     and every block multiplies M by 1/k^2 + alpha + lam_i >= 1/k^2.  CG solves
-    the blocks one after the other, block 1 to half of the squared target
-    (rel_tol ||b||)^2 and block 2 to what block 1 left, each within max_iter
-    iterations (10 N when unset), so the rule holds on the whole system while
-    each block stops at its own count.
+    the blocks one after the other, each to its share of the rule
+    (``sparse_linalg.solve_spd``) within max_iter iterations (10 N when
+    unset), so the rule holds on the whole system while each block stops at
+    its own count.
 
     The blocks hold nnz(M) values each, computed entry by entry in the order
     of scipy's sums ((1/k^2 + alpha) M + c^2 K) + lam_i M, on M's own
@@ -311,7 +309,7 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
     """Advance one time level with the run's operator ``op``.
 
     CG solves the two rotated blocks one after the other, each to its share
-    of the rule, started from ``op.dense_guess`` on a small system, else from
+    of the rule (``sparse_linalg.solve_spd``), started from ``op.dense_guess`` on a small system, else from
     ``op.projected_guess`` (over x_n and the extrapolated step), and failing
     that, from the extrapolation 2 x_n - x_{n-1}; CG's final residual r gives
     the recorded A x = b - r.

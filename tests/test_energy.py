@@ -305,16 +305,21 @@ def test_records_read_mid_run_are_complete_and_exact(monkeypatch):
 
 def test_energy_error_surfaces_at_its_own_level(monkeypatch, square2):
     # a level whose energy may overflow is not left pending, so its error
-    # comes before anything a later step could raise
+    # comes before anything a later step could raise; it ends a block of
+    # several pending levels, whose rows before it are kept complete
     _, mass, stiff = square2
     p = dyadic_params(k=0.25, T=2.0)
     rows_per_block(monkeypatch, 8, mass.shape[0])
     tracker = en.EnergyTracker(mass, stiff, p)
-    zero, one = np.zeros(1), np.ones(1)
-    tracker(scheme.State(1, zero, one, zero, zero))
-    with pytest.raises(ValueError, match="energy inf at level 2 is not finite"):
-        tracker(scheme.State(2, one, np.array([1e200]), zero, zero))
-    assert tracker.table["n"].tolist() == [1]
+    zero, u = np.zeros(1), [np.array([x]) for x in (0.0, 1.0, 0.5, 0.25, 1e200)]
+    states = [scheme.State(n, u[n - 1], u[n], zero, zero) for n in range(1, 5)]
+    for state in states[:3]:
+        tracker(state)
+    with pytest.raises(ValueError, match="energy inf at level 4 is not finite"):
+        tracker(states[3])
+    expected = oracles.per_level_table(states[:3], mass, stiff, p)
+    assert tracker.table["n"].tolist() == [1, 2, 3]
+    assert tracker.table.tobytes() == expected.tobytes()
 
 
 def test_tracker_layout():
