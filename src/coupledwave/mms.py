@@ -227,5 +227,5 @@ def _fit_order(records) -> float:
         return math.nan
     log_h = np.log([r.h for r in usable])
     log_e = np.log([r.error for r in usable])
-    slope, _ = np.polyfit(log_h, log_e, 1)
+    slope, _ = energy.fit_line(log_h, log_e)
     return float(slope)

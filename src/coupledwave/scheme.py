@@ -16,9 +16,11 @@ matrix factors exactly as
     D = (1/k^2 + alpha) M + c^2 K,
 
 where Q diag(lam) Q^T is the eigendecomposition of the 2 x 2 matrix
-[[eps_u/k, -alpha], [-alpha, eps_v/k]].  A CG step rotates the right-hand
-side per vertex, solves the two N x N blocks one after the other, each in its
-own Jacobi-PCG to its share of the stopping rule ||b - A x|| <= rel_tol ||b||
+[[eps_u/k, -alpha], [-alpha, eps_v/k]], taken in closed form (``_eigh_2x2``)
+so that a ``method = cg`` run calls no LAPACK routine; only the Cholesky
+check route does.  A CG step rotates the right-hand side per vertex, solves
+the two N x N blocks one after the other, each in its own Jacobi-PCG to its
+share of the stopping rule ||b - A x|| <= rel_tol ||b||
 (``sparse_linalg.solve_spd`` states the split), and rotates the solution
 back.  So the rule holds on the rotated system while each block stops at its
 own iteration count, and each has a budget of max_iter iterations (10 N when
@@ -201,8 +203,7 @@ class BlockOperator:
     def __init__(self, mass: sp.csr_matrix, stiffness: sp.csr_matrix, params: SchemeParams,
                  config: SolverConfig = SolverConfig()):
         k, alpha = params.k, params.alpha
-        damping = np.array([[params.eps_u / k, -alpha], [-alpha, params.eps_v / k]])
-        lam, self.rotation = np.linalg.eigh(damping)
+        lam, self.rotation = _eigh_2x2(params.eps_u / k, -alpha, params.eps_v / k)
         if not (mass.shape == stiffness.shape and np.array_equal(mass.indptr, stiffness.indptr)
                 and np.array_equal(mass.indices, stiffness.indices)):
             raise ValueError("the mass and stiffness matrices do not share one sparsity pattern")
@@ -388,6 +389,39 @@ def _block_inverses(blocks: tuple) -> np.ndarray:
     if not np.isfinite(inverses).all():
         raise ValueError("the step matrix's blocks do not invert in floating point on this mesh")
     return inverses
+
+
+def _eigh_2x2(a: float, b: float, c: float) -> tuple:
+    """(lam, Q) of [[a, b], [b, c]] = Q diag(lam) Q^T for a, c >= 0 and b != 0.
+
+    As ``np.linalg.eigh`` returns them: lam ascending, the eigenvectors the
+    columns of Q, with LAPACK's signs.  A port of LAPACK's DLAEV2 (Anderson
+    et al., LAPACK Users' Guide, 3rd ed., SIAM 1999) that calls no LAPACK
+    routine: the larger eigenvalue is (a + c) / 2 + hypot((a - c) / 2, b),
+    the smaller det / larger in an order that cannot overflow, and Q comes
+    from the better-conditioned row of A - lam I, the one whose entry
+    (a - c) / 2 +- hypot adds two numbers of one sign.  Halving first keeps
+    every intermediate value below the larger eigenvalue, so none overflows
+    where the eigenvalues are finite.
+    """
+    half = 0.5 * (a - c)
+    root = math.hypot(half, b)
+    large = 0.5 * a + 0.5 * c + root
+    big, small = (a, c) if abs(a) > abs(c) else (c, a)
+    lam_small = (big / large) * small - (b / large) * b
+    # (-b, cs) is an eigenvector: the smaller eigenvalue's where a >= c
+    cs = half + root if a >= c else half - root
+    if abs(cs) > abs(b):
+        t = -b / cs
+        sn = 1.0 / math.sqrt(1.0 + t * t)
+        cs = t * sn
+    else:
+        t = -cs / b
+        cs = 1.0 / math.sqrt(1.0 + t * t)
+        sn = t * cs
+    if a >= c:  # turn it to the larger eigenvalue's
+        cs, sn = -sn, cs
+    return np.array([lam_small, large]), np.array([[-sn, cs], [cs, sn]])
 
 
 def _rotate(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:

@@ -6,7 +6,11 @@ for the diagonal, started from the caller's guess or from zero) and a dense
 Cholesky factorization via scipy (the check path).  Tests compare them
 against each other, so neither should be folded into the other.  scipy.linalg
 is imported by the Cholesky branch only, so the CG path never loads it, and
-neither route loads scipy.sparse.linalg.
+neither route loads scipy.sparse.linalg.  A ``method = cg`` run calls no
+LAPACK routine at all: the scheme's 2 x 2 rotation and the least-squares
+fits are closed forms (``scheme._eigh_2x2``, ``energy.fit_line``), because
+the first LAPACK call makes about 1 MB of OpenBLAS's pages resident.  Only
+the Cholesky check route factors with LAPACK.
 
 CG is also the verifier of every start it is given.  On small systems the
 scheme starts it from an exact dense solve (``scheme.DENSE_START_MAX_N``);

@@ -659,6 +659,33 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert run_python(code) == "False"
 
 
+# numpy's entries that reach LAPACK; np.linalg.norm does not and stays usable
+LAPACK_ENTRIES = ((np, "polyfit"), *((np.linalg, name) for name in (
+    "eigh", "eigvalsh", "lstsq", "solve", "inv", "cholesky", "svd")))
+
+
+def test_cg_runs_call_no_lapack_routine(tmp_path, monkeypatch):
+    # the first LAPACK call makes about 1 MB of OpenBLAS's pages resident
+    def refuse(*args, **kwargs):
+        raise AssertionError("a method = cg run called LAPACK")
+
+    for module, name in LAPACK_ENTRIES:
+        monkeypatch.setattr(module, name, refuse)
+    mesh_path = tmp_path / "square.mesh"
+    msh.write_mesh(oracles.jittered_square(6, seed=3), mesh_path)
+    configs = {
+        "simulate": f"mode = simulate\ndomain = file:{mesh_path}\nk = 0.1\nT = 0.5\n"
+                    "initial = sine\n",
+        "decay-study": "mode = decay-study\nn_per_side = 4\nk = 0.05\nT = 1.0\ninitial = sine\n"
+                       "lyapunov_n_weight = 2\nlyapunov_beta = 0.1\n",
+        "convergence": "mode = convergence\nn_per_side = 2\nlevels = 3\n"
+                       "case = separable-decay\nk = 0.1\nT = 0.5\n",
+    }
+    for mode, text in configs.items():
+        cfg = write_config(tmp_path, text + "method = cg\n", name=f"{mode}.cfg")
+        assert run_cli(["--config", cfg, "--out-dir", str(tmp_path / mode), "--quiet"]) == 0
+
+
 # a module of each numpy submodule that coupledwave defers; scipy.sparse's
 # `from numpy import *` would otherwise execute all four (about 150 ms)
 DEFERRED_NUMPY = ("numpy.testing._private.utils", "numpy.f2py.crackfortran",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from coupledwave import assembly as asm
 from coupledwave import cli
 from coupledwave import energy as en
 from coupledwave import mesh as msh
-from coupledwave import scheme
+from coupledwave import mms, scheme
 from coupledwave.sparse_linalg import SolverConfig
 
 
@@ -429,6 +431,24 @@ def test_fit_insufficient_data():
         en.fit_decay_rate(synthetic_table([0.0] * 12))
     with pytest.raises(ValueError, match="window"):
         en.fit_decay_rate(synthetic_table([1.0] * 12), window=0.0)
+
+
+# the second window is longer than DOT_CHUNK: its sums run in pieces
+@pytest.mark.parametrize("rows", [40, 20000])
+def test_fits_agree_with_polyfit_on_noisy_data(rows):
+    rng = np.random.default_rng(rows)
+    t = np.arange(1, rows + 1) * 0.01
+    energies = 3.0 * np.exp(-0.7 * t + 0.05 * rng.standard_normal(rows))
+    slope, intercept = np.polyfit(t[rows // 2:], np.log(energies[rows // 2:]), 1)
+    fit = en.fit_decay_rate(synthetic_table(energies, dt=0.01))
+    assert fit.gamma == pytest.approx(-slope, rel=1e-12)
+    assert fit.log_C == pytest.approx(intercept, rel=1e-12)
+    # the convergence study's order, over (h, error) pairs with noise
+    h = 0.5 ** np.arange(rows % 7 + 3)
+    errors = h ** 1.3 * np.exp(0.1 * rng.standard_normal(len(h)))
+    records = [SimpleNamespace(h=a, error=b) for a, b in zip(h, errors)]
+    want = np.polyfit(np.log(h), np.log(errors), 1)[0]
+    assert mms._fit_order(records) == pytest.approx(want, rel=1e-12)
 
 
 def test_dense_start_keeps_identity_at_rounding_floor_at_loose_tolerance(monkeypatch):

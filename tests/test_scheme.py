@@ -106,6 +106,36 @@ def test_decoupled_is_scipys_block_diagonal_bitwise(kind):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+# the range SchemeParams admits: eps/k from 0 (both, one, equal) to 1e12, alpha 1e-6 to 1e6
+EIGH_DIAGONALS = (0.0, *np.geomspace(1e-3, 1e12, 9))
+EIGH_ALPHAS = np.geomspace(1e-6, 1e6, 20)
+
+
+def test_closed_form_rotation_matches_lapack():
+    eps = np.finfo(float).eps
+    bitwise = 0
+    for a in EIGH_DIAGONALS:
+        for c in EIGH_DIAGONALS:
+            for alpha in EIGH_ALPHAS:
+                matrix = np.array([[a, -alpha], [-alpha, c]])
+                lam, q = scheme._eigh_2x2(a, -alpha, c)
+                want_lam, want_q = np.linalg.eigh(matrix)
+                bitwise += lam.tobytes() == want_lam.tobytes() and q.tobytes() == want_q.tobytes()
+                norm = np.abs(lam).max()
+                assert lam[0] <= lam[1]
+                assert np.abs(lam - want_lam).max() <= 4 * np.spacing(norm), (a, alpha, c)
+                assert np.abs(q.T @ q - np.eye(2)).max() <= 4 * eps
+                assert abs((q.T @ matrix @ q)[0, 1]) <= 4 * eps * norm
+                # a column is fixed up to sign only as far as the eigenvalue gap allows
+                for got, want in zip(q.T, want_q.T):
+                    sign = 1.0 if got @ want >= 0.0 else -1.0
+                    assert (np.abs(got - sign * want).max() * (lam[1] - lam[0])
+                            <= 4 * eps * norm), (a, alpha, c)
+    # LAPACK's eigh takes the same DLAEV2 steps: 1669 of the 2000 agree bitwise
+    # with numpy 2.4's OpenBLAS, where a naive closed form matched 75
+    assert bitwise >= 1500, bitwise
+
+
 def test_block_operator_rejects_matrices_of_two_patterns():
     mass, stiff = matrices(msh.generate_unit_square(8))
     stiff.eliminate_zeros()  # 289 -> 217 entries
