@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheme import SchemeParams, State
-from .sparse_linalg import dot
+from .sparse_linalg import dot, matvec
 
 
 class InsufficientDataError(ValueError):
@@ -103,11 +103,12 @@ def energy_terms(u_prev, u_curr, v_prev, v_curr, mass, stiffness, k, c2, alpha):
 
 def _product(matrix, a: np.ndarray) -> np.ndarray:
     """(matrix @ a.T).T with C-contiguous rows; 1-D a and one row take the
-    cheaper matrix-vector product, which the block product's columns equal."""
+    cheaper matrix-vector product (``matvec``), which the block product's
+    columns equal."""
     if a.ndim == 1:
-        return matrix @ a
+        return matvec(matrix, a)
     if len(a) == 1:
-        return (matrix @ a[0])[None]
+        return matvec(matrix, a[0])[None]
     return np.ascontiguousarray((matrix @ a.T).T)
 
 

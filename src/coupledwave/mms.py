@@ -24,7 +24,7 @@ import numpy as np
 from . import assembly, energy
 from .mesh import Mesh, cell_diameters, refine_uniform
 from .scheme import SchemeParams, State, run, sine_mode, solver_start
-from .sparse_linalg import SolverConfig, SolverFailure, with_context
+from .sparse_linalg import SolverConfig, SolverFailure, matvec, with_context
 
 # name -> (dim, a_u, a_v), as build_case documents them
 _CASES = {
@@ -168,7 +168,7 @@ def measure_error(case: ManufacturedCase, mesh: Mesh, params: SchemeParams,
     mass = assembly.assemble_mass(mesh)
     stiffness = assembly.assemble_stiffness(mesh)
     mode = sine_mode(mesh.vertices)
-    load = assembly.load_matrix(mesh) @ mode
+    load = matvec(assembly.load_matrix(mesh), mode)
 
     def sources(t):
         decay = math.exp(-t)

@@ -30,11 +30,13 @@ Every level solves the same matrix with a new right-hand side.  On a small
 system, where both N x N block inverses fit in 1 MiB together (N <=
 DENSE_START_MAX_N), the operator inverts each block once per run and CG
 starts from x0 = blockdiag(A_1^{-1}, A_2^{-1}) b.  That start is exact to
-rounding, so CG only verifies it: on each block it computes b_i - A_i x0_i,
-applies the block's share of the rule and iterates only if the start falls
-short.  The 1 MiB bound keeps the memory the inverses add small next to the
-process's, and they come from numpy alone: a sparse factorization would load
-scipy.sparse.linalg, whose import alone adds about 9 MB resident.  A block that does not invert in
+rounding, and it is checked before any CG entry: ``solve_spd`` computes
+b_i - A_i x0_i on both blocks and applies each block's share of the rule, so
+a start that meets it is the solution with no CG call, and only a block whose
+start falls short is iterated on, from that residual.  The 1 MiB bound
+keeps the memory the inverses add small next to the process's, and they come
+from numpy alone: a sparse factorization would load scipy.sparse.linalg,
+whose import alone adds about 9 MB resident.  A block that does not invert in
 floating point (entries near the ends of the float range) is a ValueError.
 Larger systems start from the Galerkin projection onto span{x_n, d}, d the
 extrapolated step 2 x_n - 3 x_{n-1} + x_{n-2} (x_n - x_{n-1} over two
@@ -62,8 +64,8 @@ import scipy.sparse as sp
 
 from . import assembly
 from .mesh import Mesh
-from .sparse_linalg import (SolverConfig, SolverFailure, dot, jacobi_inverse, solve_spd,
-                            with_context)
+from .sparse_linalg import (SolverConfig, SolverFailure, dot, jacobi_inverse, matvec,
+                            solve_spd, with_context)
 
 # the projection gives way to the line search when det G <= GRAM_TOL g11 g22,
 # sin^2 of the A-angle between x_n and d.  Of a sweep of 1e-10 ... 1e-5 over
@@ -75,10 +77,11 @@ GRAM_TOL = 5e-7
 
 # CG starts from the exact dense solve when both N x N block inverses take at
 # most 1 MiB (2 N^2 doubles), that is N <= 256.  At N = 225 the build takes
-# about 20 ms once per run and the start about 30 us per step, where the
-# projected start left CG 7-8 Jacobi iterations of about 30 us each.  The
-# inverses' memory grows as N^2 and their build as N^3; at N = 961 they would
-# hold 15 MB, a quarter of the whole process
+# about 10 ms once per run; per step the start takes about 15 us and its check
+# on both blocks, with no CG entry, about 13 us of a 50 us step (2-vCPU VM),
+# where the projected start left CG 7-8 Jacobi iterations of about 30 us
+# each.  The inverses' memory grows as N^2 and their build as N^3; at N = 961
+# they would hold 15 MB, a quarter of the whole process
 DENSE_START_MAX_N = 256
 
 
@@ -156,8 +159,10 @@ class State:
     v_curr: np.ndarray
 
     def __post_init__(self):
-        sizes = {arr.shape for arr in (self.u_prev, self.u_curr, self.v_prev, self.v_curr)}
-        if len(sizes) != 1 or self.u_curr.ndim != 1:
+        shape = self.u_curr.shape
+        if not (len(shape) == 1 and self.u_prev.shape == shape == self.v_prev.shape
+                == self.v_curr.shape):
+            sizes = {arr.shape for arr in (self.u_prev, self.u_curr, self.v_prev, self.v_curr)}
             raise ValueError(f"field vectors disagree in shape: {sizes}")
         if self.n < 1:
             raise ValueError("state level must be at least 1")
@@ -195,8 +200,9 @@ class BlockOperator:
     solve: each block's Jacobi preconditioner, the pair ``inv_diag`` (method
     cg), and either the dense block inverses ``inverse`` (N <=
     DENSE_START_MAX_N, method cg) or the last three rotated solutions x and
-    A x, which ``projected_guess`` starts from.  That history belongs to one
-    chain of ``step`` calls, so every run builds its own operator.  A block
+    A x, which ``projected_guess`` starts from, and the two levels of the
+    state ``step`` last returned, as (2, N) arrays.  That history belongs to
+    one chain of ``step`` calls, so every run builds its own operator.  A block
     or a diagonal that does not invert in floating point raises ValueError.
     """
 
@@ -237,6 +243,9 @@ class BlockOperator:
                                  f"in floating point") from None
         self._history = []  # up to three (x, A x), newest first, rotated coordinates
         self._tip = None  # the state whose level x is the newest solution
+        # the last state ``step`` returned, with its two levels as (2, N) arrays [u; v]
+        self._levels = (None, None, None)
+        self._damping = np.array([[params.eps_u / k], [params.eps_v / k]])
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -248,9 +257,9 @@ class BlockOperator:
         coupling = -alpha * mass
         return sp.bmat([[diag_u, coupling], [coupling, diag_v]], format="csr")
 
-    @np.errstate(over="ignore", invalid="ignore")
     def dense_guess(self, b: np.ndarray) -> np.ndarray:
-        """x0 = blockdiag(A_1^{-1}, A_2^{-1}) b; solve_spd rejects one that overflowed."""
+        """x0 = blockdiag(A_1^{-1}, A_2^{-1}) b, b as 2N entries or (2, N) rows;
+        solve_spd rejects one that overflowed (``step`` ignores the warning)."""
         return (self.inverse @ b.reshape(2, self.n_field, 1)).ravel()
 
     # an overflowing Gram product fails the tests below instead of warning
@@ -310,38 +319,52 @@ def step(state: State, op: BlockOperator, f_u: np.ndarray | None = None,
     """Advance one time level with the run's operator ``op``.
 
     CG solves the two rotated blocks one after the other, each to its share
-    of the rule (``sparse_linalg.solve_spd``), started from ``op.dense_guess`` on a small system, else from
-    ``op.projected_guess`` (over x_n and the extrapolated step), and failing
-    that, from the extrapolation 2 x_n - x_{n-1}; CG's final residual r gives
-    the recorded A x = b - r.
-    ``method = cholesky`` solves the coupled matrix.  f_u, f_v are already-assembled
-    load vectors for the target level (or None for the homogeneous problem).
+    of the rule (``sparse_linalg.solve_spd``), started from ``op.dense_guess``
+    on a small system, else from ``op.projected_guess`` (over x_n and the
+    extrapolated step), and failing that, from the extrapolation
+    2 x_n - x_{n-1}; CG's final residual r gives the recorded A x = b - r.
+    ``method = cholesky`` solves the coupled matrix.  f_u, f_v are
+    already-assembled load vectors for the target level (or None for the
+    homogeneous problem).  Both fields go through each operation at once, as
+    the rows of (2, N) arrays [u; v]; the operator keeps the two levels of the
+    state it returned, so only a state it did not produce is stacked.  An
+    overflow here leaves a value that solve_spd rejects, so it is not warned
+    about.
     """
-    params, mass = op.params, op.mass
+    params, n = op.params, op.n_field
     k = params.k
-    guess_u = 2.0 * state.u_curr - state.u_prev
-    guess_v = 2.0 * state.v_curr - state.v_prev
-    rhs_u = mass @ (guess_u / (k * k) + (params.eps_u / k) * state.u_curr)
-    rhs_v = mass @ (guess_v / (k * k) + (params.eps_v / k) * state.v_curr)
-    if f_u is not None:
-        rhs_u = rhs_u + f_u
-    if f_v is not None:
-        rhs_v = rhs_v + f_v
-    n = op.n_field
-    if op.config.method == "cholesky":
-        solution = solve_spd(op.matrix, np.concatenate([rhs_u, rhs_v]), op.config)
-        return State(state.n + 1, state.u_curr, solution[:n], state.v_curr, solution[n:])
-    q = op.rotation
-    b = np.concatenate(_rotate(q.T, rhs_u, rhs_v))
-    dense = op.inverse is not None
-    x0 = op.dense_guess(b) if dense else op.projected_guess(state, b)
-    if x0 is None:
-        x0 = np.concatenate(_rotate(q.T, guess_u, guess_v))
-    residual = None if dense else np.empty_like(b)
-    x = solve_spd(op.blocks, b, op.config, x0=x0, inv_diag=op.inv_diag, residual=residual)
-    u_new, v_new = _rotate(q, x[:n], x[n:])
-    new = State(state.n + 1, state.u_curr, u_new, state.v_curr, v_new)
-    if not dense:  # A x = b - r from CG's final residual, with no product taken
+    owner, prev, curr = op._levels
+    if state is not owner:
+        prev, curr = np.stack([state.u_prev, state.v_prev]), np.stack([state.u_curr, state.v_curr])
+    residual = None  # CG's final residual on the projected route
+    with np.errstate(over="ignore", invalid="ignore"):
+        guess = 2.0 * curr - prev
+        rhs = np.zeros((2, n))
+        scaled = guess / (k * k) + op._damping * curr
+        matvec(op.mass, scaled[0], rhs[0])
+        matvec(op.mass, scaled[1], rhs[1])
+        if f_u is not None:
+            rhs[0] += f_u
+        if f_v is not None:
+            rhs[1] += f_v
+        if op.config.method == "cholesky":
+            levels = solve_spd(op.matrix, rhs.reshape(-1), op.config).reshape(2, n)
+        else:
+            q = op.rotation
+            b = _rotate(q.T, rhs[0], rhs[1]).reshape(-1)
+            if op.inverse is None:
+                residual = np.empty_like(b)
+                x0 = op.projected_guess(state, b)
+            else:
+                x0 = op.dense_guess(b)
+            if x0 is None:
+                x0 = _rotate(q.T, guess[0], guess[1]).reshape(-1)
+            x = solve_spd(op.blocks, b, op.config, x0=x0, inv_diag=op.inv_diag,
+                          residual=residual)
+            levels = _rotate(q, x[:n], x[n:])
+    new = State(state.n + 1, state.u_curr, levels[0], state.v_curr, levels[1])
+    op._levels = (new, curr, levels)
+    if residual is not None:  # A x = b - r, with no product taken
         op.record(x, np.subtract(b, residual, out=residual), new)
     return new
 
@@ -424,9 +447,11 @@ def _eigh_2x2(a: float, b: float, c: float) -> tuple:
     return np.array([lam_small, large]), np.array([[-sn, cs], [cs, sn]])
 
 
-def _rotate(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Apply the 2 x 2 matrix q to every vertex pair (a_i, b_i)."""
-    return q[0, 0] * a + q[0, 1] * b, q[1, 0] * a + q[1, 1] * b
+def _rotate(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Apply the 2 x 2 matrix q to every vertex pair (a_i, b_i): the (2, N)
+    rows q[i, 0] a + q[i, 1] b, which round as the scalar products do (a
+    matrix product q @ [a; b] goes through BLAS and does not)."""
+    return q[:, :1] * a + q[:, 1:] * b
 
 
 def run(

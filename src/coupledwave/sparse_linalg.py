@@ -12,10 +12,11 @@ fits are closed forms (``scheme._eigh_2x2``, ``energy.fit_line``), because
 the first LAPACK call makes about 1 MB of OpenBLAS's pages resident.  Only
 the Cholesky check route factors with LAPACK.
 
-CG is also the verifier of every start it is given.  On small systems the
-scheme starts it from an exact dense solve (``scheme.DENSE_START_MAX_N``);
-CG still computes b - A x0 and applies the stopping rule, so such a solve
-returns after 0 iterations and a start that falls short is iterated on, with
+The stopping rule is also the verifier of every start.  On small systems
+the scheme starts from an exact dense solve (``scheme.DENSE_START_MAX_N``).
+``solve_spd`` computes b - A x0 on both blocks and applies the rule before
+any CG entry, so such a start is returned as it is, with no CG call, and
+only a block whose start falls short enters CG, from that residual, with
 every failure below still raised.
 
 A block-diagonal system blockdiag(A_1, A_2), the scheme's rotated step, comes
@@ -23,13 +24,16 @@ to ``solve_spd`` as the pair of its blocks.  CG solves one block after the
 other, each to an absolute ``target`` on its own residual, which
 ``cg_jacobi`` takes in place of rel_tol ||b_i||: with tau = rel_tol ||b||
 over the whole right-hand side, A_1 until ||r_1||^2 <= tau^2 / 2, then A_2
-until ||r_2||^2 <= tau^2 - ||r_1||^2.  So ||b - A x|| <= rel_tol ||b|| holds
+until ||r_2||^2 <= tau^2 - ||r_1||^2, both taken in norm form:
+||r_1|| <= tau sqrt(1/2), then ||r_2|| <= tau sqrt(1 - (||r_1|| / tau)^2), as
+tau^2 underflows where tau does not.  So ||b - A x|| <= rel_tol ||b|| holds
 on the whole system, as far as CG's updated residuals are exact, while each
 block stops at its own iteration count: one CG over both blocks kept the
-faster block iterating until the slower one had converged.  The target is an
-argument of the call, not a setting: ``SolverConfig`` keeps rel_tol, which a
-failure names, and each block has a budget of max_iter iterations (10 times
-its size when unset).  The norm of b that sets tau is also the check that b
+faster block iterating until the slower one had converged.  A block whose
+start already meets its share enters no CG.  The target is an argument of
+the call, not a setting: ``SolverConfig`` keeps rel_tol, which a failure
+names, and each block has a budget of max_iter iterations (10 times its size
+when unset).  The norm of b that sets tau is also the check that b
 is finite.
 
 Every dot product a run takes is ``dot``: one BLAS ddot per piece of at most
@@ -37,6 +41,8 @@ DOT_CHUNK entries.  OpenBLAS threads a ddot of more than 10000 entries, and
 its worker then spins for about 0.1 s (CG's dots at 2N = 32258 kept a second
 core busy all run) and rounds unlike the serial sum, which made outputs
 depend on OPENBLAS_NUM_THREADS.  A piece never wakes the thread pool.
+Every product of a CSR matrix with a vector is ``matvec``, scipy's own
+kernel called without the type dispatch of ``A @ x``.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 # below this a sum of squares may have lost digits to underflow
 _SQUARES_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
@@ -69,6 +76,34 @@ def dot(a: np.ndarray, b: np.ndarray):
         piece = slice(start, start + DOT_CHUNK)
         total = total + np.vecdot(a[..., piece], b[..., piece])
     return float(total) if a.ndim == 1 else total
+
+
+_CSR = (sp.csr_matrix, sp.csr_array)
+
+
+def matvec(A, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A x for a matrix A and a 1-D float vector x, written into ``out`` when
+    given, which must then hold zeros.
+
+    A float64 CSR matrix goes straight to scipy's kernel
+    (``_sparsetools.csr_matvec``, which adds A x to ``out``), skipping the
+    dispatch of ``A @ x`` around it: on the mass matrix at N = 225 ``A @ x``
+    took 7.8 us, and the kernel into a zeroed buffer 3.0 us (2-vCPU VM,
+    scipy 1.17).  Both sum each row from zero in one order, so the
+    result equals ``A @ x`` bitwise.  Any other A (a dense test matrix) takes
+    ``A @ x``.  A shape mismatch is a ValueError, as the kernel itself does
+    not check that x and ``out`` fit A.
+    """
+    rows, cols = A.shape
+    if x.shape != (cols,) or not (out is None or out.shape == (rows,)):
+        raise ValueError(f"shape mismatch: A {A.shape}, x {x.shape}")
+    if out is None:
+        out = np.zeros(rows)
+    if isinstance(A, _CSR) and A.dtype == np.float64:
+        _sparsetools.csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, out)
+    else:
+        out[...] = A @ x
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,12 +154,13 @@ def solve_spd(A, b: np.ndarray, config: SolverConfig = SolverConfig(),
     ``inv_diag`` is then a pair as well.  Stops when
     ||b - A x|| <= rel_tol * ||b||; CG solves a pair block by block, each to
     its share of that target and with a budget of its own (see the module
-    docstring).  A zero right-hand side returns the exact zero vector
-    without iterating.  CG starts from x0 when given (zero otherwise) and
-    preconditions with ``inv_diag`` when given (``jacobi_inverse``
-    otherwise), and writes its final residual b - A x into ``residual`` when
-    given (0 for a zero b); the Cholesky route ignores all three and factors
-    the whole matrix.
+    docstring), once both blocks' start residuals are known: x0 itself is
+    returned when both meet their shares.  A zero right-hand side returns
+    the exact zero vector without iterating.  CG starts from x0 when given
+    (zero otherwise) and preconditions with ``inv_diag`` when given
+    (``jacobi_inverse`` otherwise), and writes its final residual b - A x
+    into ``residual`` when given (0 for a zero b); the Cholesky route
+    ignores all three and factors the whole matrix.
 
     Raises
     ------
@@ -163,16 +199,28 @@ def solve_spd(A, b: np.ndarray, config: SolverConfig = SolverConfig(),
         x, _, _ = cg_jacobi(A, b, config.rel_tol, config.max_iter or 10 * n, x0, inv_diag, residual,
                             tau)
         return x
-    # block 1 until ||r_1||^2 <= tau^2 / 2, block 2 until ||r_2||^2 <= tau^2 - ||r_1||^2
+    # both start residuals first: a block whose start meets its share enters no
+    # CG, and one that does not starts CG from its residual, with no product
+    # taken twice
     (a_1, a_2), (d_1, d_2) = A, inv_diag or (None, None)
-    x0 = np.zeros(n) if x0 is None else x0
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     r = np.empty(n) if residual is None else residual
-    x_1, _, res = cg_jacobi(a_1, b[:m], config.rel_tol, config.max_iter or 10 * m, x0[:m], d_1,
-                            r[:m], tau * math.sqrt(0.5))
-    spent = (res / tau) ** 2 if tau > 0.0 else 0.0
-    x_2, _, _ = cg_jacobi(a_2, b[m:], config.rel_tol, config.max_iter or 10 * (n - m), x0[m:],
-                          d_2, r[m:], tau * math.sqrt(1.0 - spent))
-    return np.concatenate([x_1, x_2])
+    r.fill(0.0)  # matvec adds into it
+    matvec(a_1, x0[:m], r[:m])
+    matvec(a_2, x0[m:], r[m:])
+    res_1, res_2 = _norm(np.subtract(b, r, out=r)[:m]), _norm(r[m:])
+    x_1 = x_2 = None
+    # "not <=" sends a NaN residual into CG, which reports it
+    if not res_1 <= tau * math.sqrt(0.5):
+        x_1, _, res_1 = cg_jacobi(a_1, b[:m], config.rel_tol, config.max_iter or 10 * m, x0[:m],
+                                  d_1, r[:m], tau * math.sqrt(0.5), res_1)
+    target = tau * math.sqrt(1.0 - (res_1 / tau) ** 2) if tau > 0.0 else 0.0
+    if not res_2 <= target:
+        x_2, _, _ = cg_jacobi(a_2, b[m:], config.rel_tol, config.max_iter or 10 * (n - m),
+                              x0[m:], d_2, r[m:], target, res_2)
+    if x_1 is None and x_2 is None:
+        return x0
+    return np.concatenate([x0[:m] if x_1 is None else x_1, x0[m:] if x_2 is None else x_2])
 
 
 def jacobi_inverse(A) -> np.ndarray:
@@ -197,15 +245,17 @@ def jacobi_inverse(A) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | None = None,
               inv_diag: np.ndarray | None = None, residual: np.ndarray | None = None,
-              target: float | None = None):
+              target: float | None = None, start_norm: float | None = None):
     """Jacobi preconditioned conjugate gradient from x0 (zero when omitted).
 
     Returns (x, iterations, ||r||) for r = b - A x as CG updates it, in the
     array ``residual`` when one is given.  CG stops once ||r|| meets the
     absolute ``target``, rel_tol * ||b|| when omitted, so a start that
-    already meets it returns after 0 iterations.  ``inv_diag`` is the
-    preconditioner ``jacobi_inverse(A)``, computed here when omitted, so a
-    caller solving with one matrix many times passes it in.  Norms are safe
+    already meets it returns after 0 iterations.  ``start_norm`` given
+    means that ``residual`` already holds b - A x0, of that norm, so CG
+    takes no product for it.  ``inv_diag`` is the preconditioner
+    ``jacobi_inverse(A)``, computed here when omitted, so a caller solving
+    with one matrix many times passes it in.  Norms are safe
     for entries beyond the square root of the float range; an iterate whose
     product with A overflows, or a preconditioned residual that underflows to
     0 above the target, raises ValueError, like any non-finite input.
@@ -216,8 +266,11 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
     if target is None:
         target = rel_tol * _norm(b)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = np.subtract(b, A @ x, out=residual)
-    res = _norm(r)
+    if start_norm is None:
+        r = np.subtract(b, matvec(A, x), out=residual)
+        res = _norm(r)
+    else:
+        r, res = residual, start_norm
     if res <= target:
         return x, 0, res
     z = r * inv_diag
@@ -227,7 +280,7 @@ def cg_jacobi(A, b: np.ndarray, rel_tol: float, max_iter: int, x0: np.ndarray | 
         if rz == 0.0:  # r . z is positive unless z = r / diag(A) underflowed
             raise ValueError(f"the solve underflowed at iteration {it}: the residual "
                              f"divided by the matrix diagonal is 0 in floating point")
-        Ap = A @ p
+        Ap = matvec(A, p)
         pAp = dot(p, Ap)
         if not 0.0 < pAp < math.inf:
             if pAp <= 0.0:

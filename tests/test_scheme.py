@@ -655,7 +655,8 @@ def test_inverse_diagonal_computed_once_per_run(monkeypatch):
 
 
 def counting_iterations(monkeypatch):
-    """Record the iteration count of every CG solve, two per step: block 1, then block 2."""
+    """Record the iteration count of every CG entry, block 1 before block 2; a
+    block whose start already meets its share enters none."""
     iterations = []
     cg = sparse_linalg.cg_jacobi
 
@@ -685,8 +686,9 @@ def test_dense_start_matches_cholesky_without_iterating(monkeypatch):
         np.testing.assert_allclose(new.u_curr, expected.u_curr, rtol=0, atol=1e-13)
         np.testing.assert_allclose(new.v_curr, expected.v_curr, rtol=0, atol=1e-13)
         state = new
-    # CG computed b - A x0 on both blocks of every solve and found nothing to do
-    assert iterations == [0] * (2 * (p.M_steps - 1))
+    # solve_spd computed b - A x0 on both blocks of every solve, found that the
+    # start meets the rule and entered no CG
+    assert iterations == []
     assert op._history == []
 
 
@@ -747,6 +749,51 @@ def test_dense_start_short_of_tolerance_still_iterates(monkeypatch):
     np.testing.assert_allclose(new.v_curr, expected.v_curr, rtol=0, atol=1e-11)
     with pytest.raises(SolverFailure, match="in 1 iterations"):
         scheme.step(start, scaled_start(SolverConfig(rel_tol=1e-12, max_iter=1)))
+
+
+def recording_cg(monkeypatch):
+    """Record (A, target, final ||r||) of every CG entry, in call order."""
+    calls = []
+    cg = sparse_linalg.cg_jacobi
+
+    def record(A, b, rel_tol, max_iter, x0=None, inv_diag=None, residual=None, target=None,
+               start_norm=None):
+        result = cg(A, b, rel_tol, max_iter, x0, inv_diag, residual, target, start_norm)
+        calls.append((A, target, result[2]))
+        return result
+
+    monkeypatch.setattr(sparse_linalg, "cg_jacobi", record)
+    return calls
+
+
+@pytest.mark.parametrize("scaled", [(1,), (0, 1)])
+def test_dense_start_short_on_a_block_enters_cg_on_that_block_only(monkeypatch, scaled):
+    # a start 1e-6 off on the scaled blocks only: each of those enters CG once,
+    # block 2 with the share that block 1's residual leaves it, and the solve
+    # meets the rule on the coupled matrix
+    m, p, mass, stiff = square16()
+    config = SolverConfig(rel_tol=1e-10)
+    op = scheme.BlockOperator(mass, stiff, p, config)
+    for i in scaled:
+        op.inverse[i] *= 1.0 + 1e-6
+    solves, calls = recording_solves(monkeypatch), recording_cg(monkeypatch)
+    start = scheme.initialize(m, p, *scheme.initial_preset("sine-opposed"))
+    new = scheme.step(start, op)
+    (b, x0, _), = solves
+    assert len(calls) == len(scaled)
+    assert all(A is op.blocks[i] for (A, _, _), i in zip(calls, scaled))
+    n = op.n_field
+    tau = config.rel_tol * np.linalg.norm(b)
+    if scaled == (1,):  # block 1 keeps its exact start
+        res_1 = np.linalg.norm(b[:n] - op.blocks[0] @ x0[:n])
+    else:  # block 1 iterated to its share
+        (_, target_1, res_1), _ = calls
+        assert target_1 == pytest.approx(tau * np.sqrt(0.5), rel=1e-14)
+    assert res_1 <= tau * np.sqrt(0.5)
+    assert calls[-1][1] == pytest.approx(tau * np.sqrt(1.0 - (res_1 / tau) ** 2), rel=1e-12)
+    rhs = np.concatenate(scheme._rotate(op.rotation, b[:n], b[n:]))
+    x = np.concatenate([new.u_curr, new.v_curr])
+    assert np.linalg.norm(rhs - op.matrix @ x) <= config.rel_tol * np.linalg.norm(rhs)
 
 
 def test_line_search_keeps_a_single_mode_run_inside_criterion_one():
@@ -812,3 +859,24 @@ def test_projected_start_keeps_cg_iterations_down(monkeypatch, route):
                           msh.generate_unit_interval(512), p)
     assert len(iterations) == 2 * (p.M_steps - 1)
     assert sum(iterations) <= bound
+
+
+def test_step_loop_takes_no_product_through_the_scipy_dispatch(monkeypatch):
+    # every product in the step loop is sparse_linalg.matvec, on the dense and
+    # the projected route alike
+    products = []
+    matmul = sp._base._spbase.__matmul__
+
+    def counting(self, other):
+        products.append(self.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(sp._base._spbase, "__matmul__", counting)
+    p = params_for(k=0.05, T=0.5, eps_u=0.5, eps_v=0.25)
+    for n_side, route in ((6, "dense inverse"), (20, "projected")):
+        m = msh.generate_unit_square(n_side)
+        mass, stiff = matrices(m)
+        assert scheme.solver_start(mass.shape[0], SolverConfig()).startswith(route)
+        scheme.run(m, mass, stiff, p, scheme.initial_preset("sine-opposed"))
+    assert products == []
+    assert (mass @ np.ones(mass.shape[0])).shape == (361,) and products == [(361, 361)]

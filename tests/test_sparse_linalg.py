@@ -15,6 +15,7 @@ from coupledwave.sparse_linalg import (
     cg_jacobi,
     dot,
     jacobi_inverse,
+    matvec,
     solve_spd,
 )
 
@@ -265,3 +266,46 @@ def test_dot_rows_equal_their_one_dimensional_dots():
     assert dot(a, b).tolist() == [dot(x, y) for x, y in zip(a, b)]
     head, tail = slice(0, DOT_CHUNK), slice(DOT_CHUNK, None)
     assert dot(a[0], b[0]) == a[0, head] @ b[0, head] + a[0, tail] @ b[0, tail]
+
+
+@pytest.mark.parametrize("n_side", [16, 64, 128])
+def test_matvec_equals_the_scipy_product_bitwise(n_side):
+    # N = 225, 3969 and 16129: the mass matrix and both step blocks, with
+    # scipy's int32 indices and with an int64 copy of them
+    from coupledwave import scheme
+
+    m = msh.generate_unit_square(n_side)
+    mass = asm.assemble_mass(m)
+    params = scheme.SchemeParams(c=1.0, eps_u=0.5, eps_v=0.25, alpha=1.0, k=0.01, T=0.1)
+    blocks = scheme.BlockOperator(mass, asm.assemble_stiffness(m), params).blocks
+    x = np.random.default_rng(n_side).standard_normal(mass.shape[0])
+    for A in (mass, *blocks):
+        wide = A.copy()  # the constructor would take the indices back to int32
+        wide.indices, wide.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        assert A.indices.dtype == np.int32 and wide.indices.dtype == np.int64
+        for matrix in (A, wide):
+            expected = (matrix @ x).view(np.int64)
+            np.testing.assert_array_equal(matvec(matrix, x).view(np.int64), expected)
+            out = np.zeros(A.shape[0])
+            assert matvec(matrix, x, out) is out
+            np.testing.assert_array_equal(out.view(np.int64), expected)
+
+
+def test_matvec_takes_the_operator_for_other_matrices():
+    rng = np.random.default_rng(6)
+    dense = rng.standard_normal((5, 5))
+    single = sp.csr_matrix(dense.astype(np.float32))  # not float64: not the kernel's
+    x = rng.standard_normal(5)
+    for A in (dense, single):
+        np.testing.assert_array_equal(matvec(A, x), A @ x)
+        out = np.zeros(5)
+        assert matvec(A, x, out) is out
+        np.testing.assert_array_equal(out, A @ x)
+
+
+def test_matvec_rejects_a_vector_that_does_not_fit():
+    # the kernel reads x and writes out by A's indices without checking them
+    A = sp.identity(4, format="csr")
+    for x, out in ((np.ones(3), None), (np.ones(5), None), (np.ones(4), np.zeros(3))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            matvec(A, x, out)
